@@ -8,12 +8,13 @@ engine or the bookkeeping shows up as named failing cases.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import harness, protocol, qcore
-from .config import ScenarioConfig
+from . import adversary, harness, labels, protocol, qcore
+from .config import ATTACK_KINDS, CHECK_KINDS, ScenarioConfig
 from .qcore import Basis, BellLabel, PauliKey
 
 ALL_LABELS = tuple(BellLabel(x, y) for x in (0, 1) for y in (0, 1))
@@ -107,9 +108,169 @@ def honest_correctness_sweep() -> CheckResult:
             expected.extend((total.u, total.v))
         if transcript.extracted_secret != expected:
             failures.append(f"{tag}: extracted secret is not the key XOR")
-        if transcript.readout != transcript.predicted_readout:
+        dense = protocol.run_distribution_dense(config, harness.trial_generator(config.seed, 0))
+        if transcript.readout != dense.readout:
             failures.append(f"{tag}: label fast path disagrees with state readout")
     return CheckResult("honest correctness sweep", cases, failures)
+
+
+def collusion_exactness() -> CheckResult:
+    """68 cases: the collusion leaves no trace, by state-vector enumeration.
+
+    For every composite middle key (4 cases) the probe pair's Bell outcome
+    is certain and recovers the composite exactly. For every composite,
+    boundary-key total and prepared label (64 cases) the dealer pair's
+    readout is certain at the label predicted by XOR. All decoys on all
+    hops are genuine, so no check has anything to fire on.
+    """
+    failures = []
+    for composite in ALL_KEYS:
+        probe = qcore.apply_pauli(qcore.bell_state(adversary.PROBE_LABEL), 1, composite)
+        outcome_probs = qcore.bell_probabilities(probe, 0, 1)
+        certain = [lab for lab, p in outcome_probs.items() if p > 1.0 - 1e-12]
+        if len(certain) != 1:
+            failures.append(f"probe outcome not certain for composite {tuple(composite)}")
+        elif adversary.recover_composite(certain[0]) != composite:
+            failures.append(f"composite {tuple(composite)} not recovered from {tuple(certain[0])}")
+        for boundary, prepared in itertools.product(ALL_KEYS, ALL_LABELS):
+            total = composite ^ boundary
+            shifted = qcore.apply_pauli(qcore.bell_state(prepared), 1, total)
+            probs = qcore.bell_probabilities(shifted, 0, 1)
+            if not probs[qcore.pauli_shift_label(prepared, total)] > 1.0 - 1e-12:
+                failures.append(f"readout not certain for {tuple(prepared)} under {tuple(total)}")
+    return CheckResult("collusion exactness", 68, failures)
+
+
+class _FixedDraw:
+    """Generator stand-in whose `random()` always returns `u`."""
+
+    def __init__(self, u: float) -> None:
+        self.u = u
+
+    def random(self) -> float:
+        return self.u
+
+
+_RULE_TOL = 1e-12
+
+
+def _qubit_state(qubit: int) -> qcore.PureState:
+    return qcore.eigenstate((Basis.Z, Basis.X)[qubit >> 1], qubit & 1)
+
+
+def _pair_state(pair: int) -> qcore.PureState:
+    if pair < 4:
+        return qcore.bell_state(qcore.BELL_LABELS[pair])
+    retained, traveling = divmod(pair - 4, 4)
+    amplitudes = np.kron(_qubit_state(retained).amplitudes, _qubit_state(traveling).amplitudes)
+    return qcore.PureState(2, amplitudes)
+
+
+def _intervals(weights) -> list[tuple[int, float, float]]:
+    """(outcome, first draw, last draw) of every possible outcome's draw interval."""
+    intervals, low = [], 0.0
+    for index, weight in enumerate(weights):
+        if weight > 0:
+            intervals.append((index, low, math.nextafter(low + weight, 0.0)))
+        low += weight
+    return intervals
+
+
+def _check_measurement(tag, rule, state, qubit, basis, to_state, failures) -> None:
+    """Compare a label Z/X measurement rule (p0, posts) with the dense engine."""
+    p0, posts = rule
+    dense_p0, dense_p1 = qcore.measurement_probabilities(state, qubit, basis)
+    if max(abs(p0 - dense_p0), abs(1 - p0 - dense_p1)) > _RULE_TOL:
+        failures.append(f"{tag}: p0 {p0} vs state vector {dense_p0:.12f}")
+        return
+    for expected, first, last in _intervals((p0, 1 - p0)):
+        if {labels.outcome(p0, first), labels.outcome(p0, last)} != {expected}:
+            failures.append(f"{tag}: draws in [{first}, {last}] do not all pick {expected}")
+        u = (first + last) / 2
+        got, post = qcore.measure_in_basis(state, qubit, basis, _FixedDraw(u))
+        if got != expected or not qcore.equal_up_to_phase(post, to_state(posts[expected]), _RULE_TOL):
+            failures.append(f"{tag}: post-state of outcome {expected} differs")
+
+
+def label_rule_table() -> CheckResult:
+    """188 cases: every label-engine rule against the dense engine, within 1e-12.
+
+    Pair codes 0..19 (4 Bell states, 16 eigenstate products) under the
+    four Pauli keys (80), Z/X measurement of either qubit of every pair
+    (80), Z/X measurement of every decoy eigenstate (8), and Bell
+    measurement of every pair (20). A measurement case compares the
+    outcome probabilities, checks that the first and the last draw of each
+    outcome's interval pick it, and compares the post-state the dense
+    engine leaves at the interval's midpoint.
+    """
+    failures = []
+    cases = 0
+    pairs = range(20)
+    for pair, key in itertools.product(pairs, range(4)):
+        cases += 1
+        dense = qcore.apply_pauli(_pair_state(pair), 1, labels.KEYS[key])
+        if not qcore.equal_up_to_phase(dense, _pair_state(labels.pauli(pair, key)), _RULE_TOL):
+            failures.append(f"pauli: pair {pair} key {key} is not pair {labels.pauli(pair, key)}")
+    for pair, qubit, basis in itertools.product(pairs, (0, 1), (labels.Z, labels.X)):
+        cases += 1
+        _check_measurement(
+            f"measure: pair {pair} qubit {qubit} basis {labels.BASES[basis].value}",
+            labels.measure(pair, qubit, basis),
+            _pair_state(pair), qubit, labels.BASES[basis], _pair_state, failures,
+        )
+    for qubit, basis in itertools.product(range(4), (labels.Z, labels.X)):
+        cases += 1
+        _check_measurement(
+            f"measure: decoy {qubit} basis {labels.BASES[basis].value}",
+            labels.measure_qubit(qubit, basis),
+            _qubit_state(qubit), 0, labels.BASES[basis], _qubit_state, failures,
+        )
+    for pair in pairs:
+        cases += 1
+        weights = [q / 4 for q in labels.bell_quarters(pair)]
+        dense = qcore.bell_probabilities(_pair_state(pair), 0, 1)
+        if max(abs(w - dense[label]) for w, label in zip(weights, qcore.BELL_LABELS)) > _RULE_TOL:
+            failures.append(f"bell: pair {pair} probabilities {weights} differ from state vector")
+            continue
+        for expected, first, last in _intervals(weights):
+            label, _ = qcore.bell_measure(_pair_state(pair), 0, 1, _FixedDraw((first + last) / 2))
+            picked = {labels.bell_outcome(pair, first), labels.bell_outcome(pair, last)}
+            if picked != {expected} or label != qcore.BELL_LABELS[expected]:
+                failures.append(f"bell: pair {pair} draws in [{first}, {last}] do not all pick {expected}")
+    return CheckResult("label engine rules", cases, failures)
+
+
+DIFFERENTIAL_TRIALS = 140
+
+
+def differential_sweep() -> CheckResult:
+    """Seeded trials through both engines: equal transcripts and generator states.
+
+    Covers attack x check x d x check_fraction x (n, m): 72 scenarios of
+    DIFFERENTIAL_TRIALS trials each, 10,080 trials in all.
+    """
+    failures = []
+    cases = 0
+    grid = itertools.product(
+        ATTACK_KINDS, CHECK_KINDS, (0, 1, 3), (0.25, 1.0), ((2, 1), (3, 3))
+    )
+    for index, (attack, check, d, fraction, (n, m)) in enumerate(grid):
+        config = ScenarioConfig(
+            n=n, m=m, d=d, attack=attack, check=check, check_fraction=fraction,
+            trials=DIFFERENTIAL_TRIALS, seed=70000 + index,
+        )
+        for trial in range(config.trials):
+            cases += 1
+            fast_rng = harness.trial_generator(config.seed, trial)
+            dense_rng = harness.trial_generator(config.seed, trial)
+            fast = protocol.run_distribution(config, fast_rng)
+            dense = protocol.run_distribution_dense(config, dense_rng)
+            tag = f"{attack}/{check} n={n} m={m} d={d} f={fraction} seed={config.seed} trial={trial}"
+            if fast != dense:
+                failures.append(f"{tag}: transcripts differ")
+            elif fast_rng.bit_generator.state != dense_rng.bit_generator.state:
+                failures.append(f"{tag}: generator states differ")
+    return CheckResult("differential sweep", cases, failures)
 
 
 def run_all() -> list[CheckResult]:
@@ -118,4 +279,7 @@ def run_all() -> list[CheckResult]:
         parity_rule_table(),
         composition_law_table(),
         honest_correctness_sweep(),
+        label_rule_table(),
+        collusion_exactness(),
+        differential_sweep(),
     ]

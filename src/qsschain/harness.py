@@ -13,6 +13,7 @@ import csv
 import io
 import itertools
 import json
+import math
 import os
 import time
 from fractions import Fraction
@@ -23,9 +24,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from . import adversary, protocol, qcore
+from . import labels, protocol
 from .config import ConfigError, ScenarioConfig, config_from_dict
-from .qcore import Basis, BellLabel, PauliKey
 
 # re-exported for harness users; the scenario type is defined in config
 __all__ = [
@@ -185,7 +185,8 @@ def run_trials(config: ScenarioConfig, threads: int = 1) -> RunReport:
     if config.attack == "none":
         exact = 0.0  # untouched noiseless channel: no check can fire
     else:
-        exact = exact_detection(config.attack, config.d)
+        sampled = math.ceil(config.check_fraction * config.m) if config.check == "improved" else 0
+        exact = exact_detection(config.attack, config.d, sampled)
     return RunReport(
         config=config,
         trials=config.trials,
@@ -199,77 +200,78 @@ def run_trials(config: ScenarioConfig, threads: int = 1) -> RunReport:
     )
 
 
+def _branches(p0: float) -> tuple[tuple[int, Fraction], tuple[int, Fraction]]:
+    """Exact outcome weights of a label-engine Z/X measurement rule."""
+    return (0, Fraction(p0)), (1, 1 - Fraction(p0))
+
+
 def _intercept_resend_decoy_error() -> Fraction:
     """Exact per-decoy error rate under intercept-resend, by enumeration.
 
     Averages over the four equiprobable decoy states, the eavesdropper's
-    two equiprobable bases and her Born-rule outcomes, then scores the
-    receiver's mismatch probability in the preparation basis. Every state
-    involved is a Z or X eigenstate, so each probability is a small dyadic
-    rational; rationalizing strips the float rounding and keeps the closed
-    form exact.
+    two equiprobable bases and her outcomes, then scores the receiver's
+    mismatch probability in the preparation basis. The label engine's
+    measurement rules give every probability as 0, 1/2 or 1, so the sum is
+    an exact rational.
     """
     total = Fraction(0)
-    weight = Fraction(1, 4) * Fraction(1, 2)  # decoy state x Eve's basis
-    for prep_basis, prep_value in itertools.product((Basis.Z, Basis.X), (0, 1)):
-        decoy = qcore.eigenstate(prep_basis, prep_value)
-        for eve_basis in (Basis.Z, Basis.X):
-            probs = qcore.measurement_probabilities(decoy, 0, eve_basis)
-            for eve_outcome in (0, 1):
-                if probs[eve_outcome] == 0.0:
-                    continue
-                resent = qcore.eigenstate(eve_basis, eve_outcome)
-                p_match = qcore.measurement_probabilities(resent, 0, prep_basis)[prep_value]
-                p_eve = Fraction(probs[eve_outcome]).limit_denominator(1 << 20)
-                p_error = 1 - Fraction(p_match).limit_denominator(1 << 20)
-                total += weight * p_eve * p_error
+    for decoy in range(4):  # qubit code 2 * basis + value
+        for eve_basis in (labels.Z, labels.X):
+            p0, resent = labels.measure_qubit(decoy, eve_basis)
+            for eve_outcome, p_eve in _branches(p0):
+                p0, _ = labels.measure_qubit(resent[eve_outcome], decoy >> 1)
+                _, p_error = _branches(p0)[1 - (decoy & 1)]  # outcome != value
+                total += Fraction(1, 8) * p_eve * p_error
     return total
 
 
-def _certify_collusion_exactness() -> None:
-    """Exhaustive label-algebra check that the collusion leaves no trace.
+def _intercept_resend_pair_error() -> Fraction:
+    """Exact chance that the parity check flags one sampled pair Eve measured.
 
-    For every composite middle key and every boundary-key total (16 cases):
-    the probe pair's Bell outcome is deterministic and recovers the
-    composite exactly, and the dealer pair's readout is deterministic at
-    the label predicted by XOR for every prepared label. All decoys on all
-    hops are genuine, so no check has anything to fire on.
+    The eavesdropper measures the traveling qubit in a random Z/X basis;
+    the dealer then measures both qubits in one random Z/X basis and
+    compares their parity with the one the intact pair would show. The
+    label is irrelevant, so the enumeration starts from |Psi_00>, whose
+    parity is 0 in both bases.
     """
-    all_keys = [PauliKey(u, v) for u in (0, 1) for v in (0, 1)]
-    all_labels = [BellLabel(x, y) for x in (0, 1) for y in (0, 1)]
-    for composite in all_keys:
-        probe = qcore.apply_pauli(qcore.bell_state(BellLabel(1, 1)), 1, composite)
-        outcome_probs = qcore.bell_probabilities(probe, 0, 1)
-        certain = [lab for lab, p in outcome_probs.items() if p > 1.0 - 1e-12]
-        if len(certain) != 1:
-            raise AssertionError(f"probe outcome not deterministic for composite {composite}")
-        if adversary.recover_composite(certain[0]) != composite:
-            raise AssertionError(f"composite {composite} not recovered from {certain[0]}")
-        for boundary in all_keys:
-            total = composite ^ boundary
-            for prepared in all_labels:
-                shifted = qcore.apply_pauli(qcore.bell_state(prepared), 1, total)
-                probs = qcore.bell_probabilities(shifted, 0, 1)
-                expected = qcore.pauli_shift_label(prepared, total)
-                if not probs[expected] > 1.0 - 1e-12:
-                    raise AssertionError(
-                        f"readout not deterministic for {prepared} under {total}"
-                    )
+    total = Fraction(0)
+    for eve_basis, basis in itertools.product((labels.Z, labels.X), repeat=2):
+        p0, after_eve = labels.measure(0, 1, eve_basis)
+        for eve_outcome, p_eve in _branches(p0):
+            p0, after_x = labels.measure(after_eve[eve_outcome], 0, basis)
+            for x, p_x in _branches(p0):
+                p0, _ = labels.measure(after_x[x], 1, basis)
+                for y, p_y in _branches(p0):
+                    if x ^ y:
+                        total += Fraction(1, 4) * p_eve * p_x * p_y
+    return total
 
 
-def exact_detection(attack: str, d: int) -> float:
-    """Exact detection probability for the given attack with d decoys per hop.
+def exact_detection(attack: str, d: int, sampled: int = 0) -> float:
+    """Exact detection probability for the given attack.
 
-    intercept_resend: 1 - (1 - p)^d with p the enumerated per-decoy error
-    rate. collusion: 0, certified by exhaustive label-algebra enumeration.
+    `d` is the number of decoys per hop and `sampled` the number of pairs
+    the improved check measures (0 for the original check).
+    intercept_resend: 1 - (1 - p)^d (1 - q)^sampled, with p the enumerated
+    per-decoy error rate and q the enumerated chance that the parity check
+    flags a pair the eavesdropper measured; both are 1/4, so this is
+    1 - (3/4)^(d + sampled). collusion: 0, certified on every call by the
+    state-vector proof `checks.collusion_exactness`.
     """
     if d < 0:
         raise ValueError(f"decoy count must be >= 0, got {d}")
+    if sampled < 0:
+        raise ValueError(f"sampled pair count must be >= 0, got {sampled}")
     if attack == "intercept_resend":
-        per_decoy = _intercept_resend_decoy_error()
-        return float(1 - (1 - per_decoy) ** d)
+        missed = (1 - _intercept_resend_decoy_error()) ** d
+        missed *= (1 - _intercept_resend_pair_error()) ** sampled
+        return float(1 - missed)
     if attack == "collusion":
-        _certify_collusion_exactness()
+        from . import checks  # deferred: checks builds on this module
+
+        proof = checks.collusion_exactness()
+        if not proof.passed:
+            raise RuntimeError("collusion exactness proof failed: " + "; ".join(proof.failures))
         return 0.0
     raise ValueError(f"unsupported attack kind: {attack!r}")
 

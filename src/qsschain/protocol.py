@@ -384,6 +384,27 @@ def run_distribution(
 ) -> Transcript:
     """Execute one full distribution run and return its transcript.
 
+    Without `adversary` the run plays the default attack of `config.attack`
+    on the closed-form label engine (`labels.run`). With a hook object (see
+    the adversary module) it runs on the dense state-vector engine,
+    `run_distribution_dense`. Both engines draw from `rng` in the same
+    fixed order, so a fixed generator state reproduces the run bit for bit
+    on either.
+    """
+    if adversary is not None:
+        return run_distribution_dense(config, rng, adversary)
+    config.validate()
+    from . import labels  # deferred: labels builds on this module
+
+    return labels.run(config, rng)
+
+
+def run_distribution_dense(
+    config: ScenarioConfig, rng: np.random.Generator, adversary=None
+) -> Transcript:
+    """Execute one full distribution run on dense state vectors.
+
+    This is the reference engine that certifies the label engine.
     `adversary`, if given, must provide the hook interface documented in
     the adversary module; by default it is derived from `config.attack`.
     All randomness is drawn from `rng` in a fixed order, so a fixed

@@ -199,8 +199,11 @@ def measure_in_basis(
 ) -> tuple[int, PureState]:
     """Projectively measure one qubit in the Z or X basis.
 
-    Samples the outcome from the Born rule using `rng` and collapses the
-    register, renormalizing the kept branch.
+    Samples the outcome from the Born rule using one `rng.random()` draw
+    and collapses the register, renormalizing the kept branch. Only an
+    outcome whose probability exceeds NORM_TOL can be picked: a certain
+    outcome's float probability can fall a few ulp short of 1, and the
+    draw must not land in that rounding gap.
 
     Returns:
         (outcome bit, post-measurement state).
@@ -208,9 +211,16 @@ def measure_in_basis(
     front = _as_front_axis(state, qubit)
     eig = _EIGENVECTORS[basis]
     coeff0 = eig[0].conj() @ front
+    coeff1 = eig[1].conj() @ front
     p0 = float(np.vdot(coeff0, coeff0).real)
-    outcome = 0 if rng.random() < p0 else 1
-    coeff = coeff0 if outcome == 0 else eig[1].conj() @ front
+    draw = rng.random()
+    if float(np.vdot(coeff1, coeff1).real) <= NORM_TOL:
+        outcome = 0
+    elif p0 <= NORM_TOL:
+        outcome = 1
+    else:
+        outcome = 0 if draw < p0 else 1
+    coeff = coeff0 if outcome == 0 else coeff1
     norm = math.sqrt(np.vdot(coeff, coeff).real)
     if norm <= NORM_TOL:
         raise RuntimeError("sampled a zero-probability branch; state was not normalized")
@@ -251,17 +261,21 @@ def bell_measure(
     """Projectively measure a qubit pair in the Bell basis.
 
     `qubit1` plays the role of the first qubit of the Bell convention.
+    One `rng.random()` draw picks the outcome from the cumulative Born
+    probabilities; as in `measure_in_basis`, only an outcome whose
+    probability exceeds NORM_TOL can be picked.
     Returns the outcome label and the collapsed, renormalized register.
     """
     front = _as_pair_front(state, qubit1, qubit2)
     coeffs = _BELL_BASIS_CONJ @ front
     probs = (np.abs(coeffs) ** 2).sum(axis=1)
     draw = rng.random()
+    possible = [i for i in range(len(BELL_LABELS)) if probs[i] > NORM_TOL]
+    outcome = possible[-1]
     acc = 0.0
-    outcome = len(BELL_LABELS) - 1
     for i in range(len(BELL_LABELS)):
         acc += probs[i]
-        if draw < acc:
+        if draw < acc and probs[i] > NORM_TOL:
             outcome = i
             break
     label = BELL_LABELS[outcome]

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from qsschain import cli, protocol
+from qsschain import cli, labels, protocol
 
 
 def run_cli(*argv):
@@ -225,6 +225,23 @@ class TestVerify:
         assert "verification failed" in out
         failed_line = next(
             line for line in out.splitlines() if line.startswith("parity rule table")
+        )
+        assert "FAIL" in failed_line
+
+
+    def test_broken_label_rule_is_reported(self, capsys, monkeypatch):
+        true_rule = labels.pauli
+
+        def ignores_products(pair, key):
+            return true_rule(pair, key) if pair < 4 else pair
+
+        monkeypatch.setattr(labels, "pauli", ignores_products)
+        code = run_cli("verify")
+        out = capsys.readouterr().out
+        assert code == 1
+        assert "verification failed" in out
+        failed_line = next(
+            line for line in out.splitlines() if line.startswith("label engine rules")
         )
         assert "FAIL" in failed_line
 

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+from fractions import Fraction
 
 import pytest
 
@@ -103,6 +104,20 @@ class TestExactDetection:
             1.0 - 0.75**8, abs=1e-12
         )
 
+    @pytest.mark.parametrize("d", [0, 1, 4])
+    def test_improved_check_counts_the_sampled_pairs(self, d):
+        """n=3, m=8, f=0.5: the parity check samples s = 4 pairs, each caught with 1/4."""
+        config = ScenarioConfig(
+            n=3, m=8, d=d, attack="intercept_resend", check="improved",
+            check_fraction=0.5, trials=1000, seed=300 + d,
+        )
+        closed_form = float(1 - Fraction(3, 4) ** (d + 4))
+        assert harness.exact_detection("intercept_resend", d, sampled=4) == closed_form
+        report = harness.run_trials(config)
+        assert report.exact_detection == closed_form
+        se = math.sqrt(closed_form * (1.0 - closed_form) / config.trials)
+        assert abs(report.detection_rate - closed_form) < 3 * se
+
     def test_monotone_in_decoy_count(self):
         values = [harness.exact_detection("intercept_resend", d) for d in range(9)]
         assert values == sorted(values)
@@ -117,6 +132,8 @@ class TestExactDetection:
             harness.exact_detection("none", 4)
         with pytest.raises(ValueError):
             harness.exact_detection("intercept_resend", -1)
+        with pytest.raises(ValueError):
+            harness.exact_detection("intercept_resend", 2, sampled=-1)
 
 
 class TestReportFiles:

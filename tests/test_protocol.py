@@ -349,7 +349,7 @@ class TestRunDistribution:
     def test_fast_path_predicts_readout_when_untouched(self):
         for seed in range(10):
             config = ScenarioConfig(n=3, m=5, d=2, trials=1, seed=seed)
-            transcript = protocol.run_distribution(config, np.random.default_rng(seed))
+            transcript = protocol.run_distribution_dense(config, np.random.default_rng(seed))
             assert transcript.predicted_readout == transcript.readout
 
     def test_same_generator_state_reproduces_run(self):

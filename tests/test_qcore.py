@@ -253,6 +253,41 @@ class TestBellMeasure:
             qcore.bell_measure(qcore.bell_state(BellLabel(0, 0)), 1, 1, np.random.default_rng(0))
 
 
+class FixedDraw:
+    """Stand-in generator whose every `random()` returns the same uniform."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self):
+        return self.u
+
+
+# the smallest and the largest value `Generator.random()` can return
+EDGE_DRAWS = [0.0, 1.0 - 2.0**-53]
+
+
+class TestCertainOutcomesAtEdgeDraws:
+    """A certain outcome is picked at every draw, even where float rounding
+    leaves its probability a few ulp short of 1."""
+
+    @pytest.mark.parametrize("u", EDGE_DRAWS)
+    @pytest.mark.parametrize("label", ALL_LABELS)
+    def test_bell_measure_of_a_bell_state(self, label, u):
+        outcome, post = qcore.bell_measure(qcore.bell_state(label), 0, 1, FixedDraw(u))
+        assert outcome == label
+        assert qcore.equal_up_to_phase(post, qcore.bell_state(label))
+
+    @pytest.mark.parametrize("u", EDGE_DRAWS)
+    @pytest.mark.parametrize("basis", [Basis.Z, Basis.X])
+    @pytest.mark.parametrize("value", [0, 1])
+    def test_eigenstate_in_its_own_basis(self, basis, value, u):
+        state = qcore.eigenstate(basis, value)
+        outcome, post = qcore.measure_in_basis(state, 0, basis, FixedDraw(u))
+        assert outcome == value
+        assert qcore.equal_up_to_phase(post, state)
+
+
 class TestEqualUpToPhase:
     def test_global_phase_ignored(self):
         state = qcore.bell_state(BellLabel(0, 1))
