@@ -3,97 +3,4 @@ protocol: the honest flow, a two-participant collusion attack, an
 intercept-resend eavesdropper, decoy checks and a pair-sampling parity
 check, with Monte Carlo and exact-enumeration statistics."""
 
-from .config import ATTACK_KINDS, CHECK_KINDS, ConfigError, ScenarioConfig
-from .qcore import (
-    Basis,
-    BellLabel,
-    PauliKey,
-    PureState,
-    apply_pauli,
-    bell_measure,
-    bell_state,
-    equal_up_to_phase,
-    measure_in_basis,
-    pauli_shift_label,
-)
-from .protocol import (
-    DecoyRecord,
-    EprRecord,
-    ImprovedCheckRecord,
-    ParticipantKey,
-    Transcript,
-    deduce_parity,
-    encode_key,
-    extract_secret,
-    improved_check,
-    insert_decoys,
-    prepare_epr_sequence,
-    run_distribution,
-    verify_decoys,
-)
-from .adversary import (
-    CollusionAttack,
-    CollusionState,
-    InterceptResendEve,
-    collusion_init,
-    finalize_and_return,
-    infer_secret,
-    intercept_resend,
-    recover_composite,
-    substitute_and_relay,
-)
-from .harness import (
-    RunReport,
-    exact_detection,
-    read_report,
-    run_trials,
-    trial_generator,
-    write_report,
-)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "ATTACK_KINDS",
-    "CHECK_KINDS",
-    "Basis",
-    "BellLabel",
-    "CollusionAttack",
-    "CollusionState",
-    "ConfigError",
-    "DecoyRecord",
-    "EprRecord",
-    "ImprovedCheckRecord",
-    "InterceptResendEve",
-    "ParticipantKey",
-    "PauliKey",
-    "PureState",
-    "RunReport",
-    "ScenarioConfig",
-    "Transcript",
-    "apply_pauli",
-    "bell_measure",
-    "bell_state",
-    "collusion_init",
-    "deduce_parity",
-    "encode_key",
-    "equal_up_to_phase",
-    "exact_detection",
-    "extract_secret",
-    "finalize_and_return",
-    "improved_check",
-    "infer_secret",
-    "insert_decoys",
-    "intercept_resend",
-    "measure_in_basis",
-    "pauli_shift_label",
-    "prepare_epr_sequence",
-    "read_report",
-    "recover_composite",
-    "run_distribution",
-    "run_trials",
-    "substitute_and_relay",
-    "trial_generator",
-    "verify_decoys",
-    "write_report",
-]

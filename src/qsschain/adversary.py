@@ -1,104 +1,45 @@
-"""Attacks on the distribution phase.
+"""Attacks on the distribution phase, as steps on state lists.
 
-Two adversaries are modeled:
+`protocol.run_distribution_dense` plays the attack of `config.attack`
+inline with the steps below; `labels.run` plays the same attack on label
+codes.
 
-* CollusionAttack: the first and last participants cooperate. Before the
-  run, the first participant prepares one probe pair |Psi_11> per position
-  and hands one half of each to the last participant. During the run the
-  first participant encodes its key on the genuine traveling particles,
-  relays them to the last participant over a private channel, and forwards
-  its probe halves (with fresh, genuine decoys) into the honest chain
-  instead. The middle participants unknowingly encode their keys onto the
-  probe halves, so a Bell measurement of each probe pair reveals the XOR of
-  all middle keys: |Psi_11> shifts to |Psi_{1^U, 1^V}>, hence the composite
-  key is the measured label with both bits flipped (`recover_composite`).
-  The last participant then applies its own key composed with the recovered
-  composite to the relayed genuine particles and returns them to the
-  dealer. The dealer's pairs end up carrying exactly the XOR of all keys,
-  every decoy on every hop is genuine, and both colluders can reconstruct
-  the full secret from their own keys plus the recovered composites.
+* collusion: the first and last participants cooperate. Before the run,
+  the first participant prepares one probe pair |Psi_11> per position and
+  hands one half of each to the last participant. During the run the first
+  participant encodes its key on the genuine traveling particles, relays
+  them to the last participant over a private channel, and forwards its
+  probe halves (with fresh, genuine decoys) into the honest chain instead.
+  The middle participants unknowingly encode their keys onto the probe
+  halves, so a Bell measurement of each probe pair reveals the XOR of all
+  middle keys: |Psi_11> shifts to |Psi_{1^U, 1^V}>, hence the composite key
+  is the measured label with both bits flipped (`recover_composite`,
+  `read_probes`). The last participant then applies its own key composed
+  with the recovered composite to the relayed genuine particles and returns
+  them to the dealer. The dealer's pairs end up carrying exactly the XOR of
+  all keys, every decoy on every hop is genuine, and both colluders can
+  reconstruct the full secret from their own keys plus the recovered
+  composites.
 
-* InterceptResendEve: an outsider on one configured hop (default: the last)
-  who measures every in-transit particle in a uniformly random Z/X basis.
+* intercept-resend: an outsider on the last hop who measures every
+  in-transit particle in a uniformly random Z/X basis (`intercept_resend`).
   Projective measurement leaves the particle in the observed eigenstate,
   which is exactly what resending it prepares. Each decoy on that hop
   mismatches with probability 1/4, so d decoys catch her with probability
   1 - (3/4)^d.
-
-Both classes implement the hook interface consumed by
-`protocol.run_distribution`:
-
-    begin_run(n, m, d, rng)                  called once before hop 0
-    tamper_channel(hop, wire, rng) -> bool   in-transit access; True if touched
-    outgoing_payload(k, payload, key, d, rng) -> (wire, decoys) | None
-        replaces participant k's encode-and-send when not None
-    attacker_secret(keys) -> list[int] | None   after the run
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from . import protocol, qcore
-from .qcore import Basis, BellLabel, PauliKey
-from .protocol import (
-    DecoyRecord,
-    EprRecord,
-    PairQubit,
-    ParticipantKey,
-    WireParticle,
-)
+from . import qcore
+from .protocol import RETAINED_QUBIT, TRAVELING_QUBIT, DecoyRecord
+from .qcore import Basis, BellLabel, PauliKey, PureState
 
 PROBE_LABEL = BellLabel(1, 1)
-
-
-@dataclass
-class CollusionState:
-    """Shared state of the two colluders across one run."""
-
-    pairs: list[EprRecord]
-    relayed_y: Optional[list[PairQubit]] = None
-    recovered_composites: Optional[list[PauliKey]] = None
-
-
-def collusion_init(m: int, rng: np.random.Generator) -> CollusionState:
-    """Prepare the m pre-shared probe pairs, all |Psi_11>.
-
-    Preparation is deterministic; `rng` is part of the uniform attack-op
-    interface and is not consumed here.
-    """
-    if m < 1:
-        raise ValueError(f"pair count must be >= 1, got {m}")
-    pairs = [
-        EprRecord(position, PROBE_LABEL, qcore.bell_state(PROBE_LABEL))
-        for position in range(1, m + 1)
-    ]
-    return CollusionState(pairs=pairs)
-
-
-def substitute_and_relay(
-    state: CollusionState,
-    y_after_bob1: Sequence[PairQubit],
-    hop_decoys: tuple[Sequence[bool], Sequence[DecoyRecord]],
-    rng: np.random.Generator,
-) -> list[WireParticle]:
-    """First colluder's send: keep the genuine particles, forward probe halves.
-
-    `hop_decoys` is an (layout, decoy records) plan as produced by
-    `protocol.insert_decoys`; the decoys forwarded with the probe halves are
-    genuine, so the next participant's decoy check passes.
-    """
-    if len(y_after_bob1) != len(state.pairs):
-        raise ValueError(
-            f"got {len(y_after_bob1)} traveling particles for {len(state.pairs)} probe pairs"
-        )
-    state.relayed_y = list(y_after_bob1)
-    probe_halves = [PairQubit(pair, protocol.TRAVELING_QUBIT) for pair in state.pairs]
-    layout, decoys = hop_decoys
-    return protocol.assemble_wire(layout, decoys, probe_halves)
 
 
 def recover_composite(measured: BellLabel) -> PauliKey:
@@ -111,142 +52,42 @@ def recover_composite(measured: BellLabel) -> PauliKey:
     return PauliKey(measured.x ^ 1, measured.y ^ 1)
 
 
-def measure_probe_pairs(state: CollusionState, rng: np.random.Generator) -> list[PauliKey]:
-    """Bell-measure every probe pair and record the recovered composites.
+def read_probes(probes: Sequence[PureState], rng: np.random.Generator) -> list[PauliKey]:
+    """Bell-measure every probe pair and return the recovered composites.
 
-    Must happen after the substitute sequence reached the last colluder
-    (the middle encodings are then all in place) and before the final hop.
+    The last colluder does this once the probe halves have passed every
+    middle participant, so each probe carries the XOR of all middle keys.
     """
-    if state.relayed_y is None:
-        raise RuntimeError("probe pairs measured before the substitution took place")
     composites = []
-    for pair in state.pairs:
-        label, post = qcore.bell_measure(pair.pair_state, 0, 1, rng)
-        pair.pair_state = post
+    for probe in probes:
+        label, _ = qcore.bell_measure(probe, RETAINED_QUBIT, TRAVELING_QUBIT, rng)
         composites.append(recover_composite(label))
-    state.recovered_composites = composites
     return composites
 
 
-def finalize_and_return(
-    state: CollusionState,
-    bobn_key: ParticipantKey,
-    d: int,
-    rng: np.random.Generator,
-) -> tuple[list[WireParticle], list[DecoyRecord]]:
-    """Last colluder's send: re-encode the relayed particles, add decoys.
-
-    Applies its own key composed (XOR) with the recovered composite to each
-    genuine traveling particle, so the dealer sees exactly the XOR of all
-    participants' keys.
-    """
-    if state.relayed_y is None:
-        raise RuntimeError("nothing to return: the substitution never took place")
-    if state.recovered_composites is None:
-        raise RuntimeError("composites missing: Bell-measure the probe pairs first")
-    if len(bobn_key.keys) != len(state.relayed_y):
-        raise ValueError(
-            f"participant {bobn_key.owner} has {len(bobn_key.keys)} keys "
-            f"for {len(state.relayed_y)} relayed particles"
-        )
-    for particle, own, composite in zip(state.relayed_y, bobn_key.keys, state.recovered_composites):
-        particle.apply_key(own ^ composite)
-    layout, decoys = protocol.insert_decoys(len(state.relayed_y), d, rng)
-    wire = protocol.assemble_wire(layout, decoys, state.relayed_y)
-    return wire, decoys
-
-
-def infer_secret(
-    state: CollusionState, bob1_key: ParticipantKey, bobn_key: ParticipantKey
-) -> list[int]:
-    """Colluders' reconstruction of the full secret, 2 bits per position."""
-    if state.recovered_composites is None:
-        raise RuntimeError("composites missing: Bell-measure the probe pairs first")
-    bits = []
-    for own1, composite, ownn in zip(
-        bob1_key.keys, state.recovered_composites, bobn_key.keys
-    ):
-        bits.append(own1.u ^ composite.u ^ ownn.u)
-        bits.append(own1.v ^ composite.v ^ ownn.v)
-    return bits
-
-
-class CollusionAttack:
-    """Hook adapter wiring the collusion operations into the honest run."""
-
-    kind = "collusion"
-
-    def __init__(self) -> None:
-        self.state: Optional[CollusionState] = None
-        self._n = 0
-
-    def begin_run(self, n: int, m: int, d: int, rng: np.random.Generator) -> None:
-        self._n = n
-        self.state = collusion_init(m, rng)
-
-    def tamper_channel(self, hop: int, wire, rng: np.random.Generator) -> bool:
-        return False
-
-    def outgoing_payload(
-        self,
-        k: int,
-        payload: list[PairQubit],
-        own_key: ParticipantKey,
-        d: int,
-        rng: np.random.Generator,
-    ):
-        assert self.state is not None, "begin_run was not called"
-        if k == 1:
-            protocol.encode_key([ref.record for ref in payload], own_key)
-            hop_decoys = protocol.insert_decoys(len(payload), d, rng)
-            wire = substitute_and_relay(self.state, payload, hop_decoys, rng)
-            return wire, hop_decoys[1]
-        if k == self._n:
-            measure_probe_pairs(self.state, rng)
-            return finalize_and_return(self.state, own_key, d, rng)
-        return None
-
-    def attacker_secret(self, keys: list[ParticipantKey]) -> Optional[list[int]]:
-        assert self.state is not None, "begin_run was not called"
-        return infer_secret(self.state, keys[0], keys[-1])
-
-
 def intercept_resend(
-    particles: Sequence[WireParticle], rng: np.random.Generator
-) -> Sequence[WireParticle]:
-    """Measure every particle in a uniformly random Z/X basis and resend it.
+    decoys: Sequence[DecoyRecord],
+    decoy_states: list[PureState],
+    pairs: list[PureState],
+    rng: np.random.Generator,
+) -> None:
+    """Measure every particle of one hop, in slot order, in a random Z/X basis.
 
-    The post-measurement eigenstate is what a resent particle would carry,
-    so collapsing in place models the attack exactly.
+    The hop's decoys sit at their insert positions and the traveling qubits
+    of `pairs` fill the other slots in order. Each post-measurement state
+    replaces its entry in `decoy_states` or `pairs`: the eigenstate left
+    behind is what a resent particle would carry, so collapsing in place
+    models the attack exactly.
     """
-    for particle in particles:
+    decoy_at = {rec.insert_position: i for i, rec in enumerate(decoys)}
+    pair_index = 0
+    for slot in range(len(decoys) + len(pairs)):
         basis = Basis.Z if rng.integers(2) == 0 else Basis.X
-        particle.measure(basis, rng)
-    return particles
-
-
-class InterceptResendEve:
-    """Outside eavesdropper on one hop; default is the final hop."""
-
-    kind = "intercept_resend"
-
-    def __init__(self, hop: Optional[int] = None) -> None:
-        self._requested_hop = hop
-        self._hop: Optional[int] = None
-
-    def begin_run(self, n: int, m: int, d: int, rng: np.random.Generator) -> None:
-        self._hop = n if self._requested_hop is None else self._requested_hop
-        if not 0 <= self._hop <= n:
-            raise ValueError(f"hop {self._hop} outside the chain (0..{n})")
-
-    def tamper_channel(self, hop: int, wire, rng: np.random.Generator) -> bool:
-        if hop != self._hop:
-            return False
-        intercept_resend(wire, rng)
-        return True
-
-    def outgoing_payload(self, k, payload, own_key, d, rng):
-        return None
-
-    def attacker_secret(self, keys) -> Optional[list[int]]:
-        return None
+        if slot in decoy_at:
+            i = decoy_at[slot]
+            _, decoy_states[i] = qcore.measure_in_basis(decoy_states[i], 0, basis, rng)
+        else:
+            _, pairs[pair_index] = qcore.measure_in_basis(
+                pairs[pair_index], TRAVELING_QUBIT, basis, rng
+            )
+            pair_index += 1

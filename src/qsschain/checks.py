@@ -102,10 +102,7 @@ def honest_correctness_sweep() -> CheckResult:
             continue
         expected = []
         for position in transcript.payload_positions:
-            total = PauliKey(0, 0)
-            for participant in transcript.participant_keys:
-                total = total ^ participant.keys[position - 1]
-            expected.extend((total.u, total.v))
+            expected.extend(protocol.key_total(transcript.participant_keys, position))
         if transcript.extracted_secret != expected:
             failures.append(f"{tag}: extracted secret is not the key XOR")
         dense = protocol.run_distribution_dense(config, harness.trial_generator(config.seed, 0))

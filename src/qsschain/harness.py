@@ -27,10 +27,7 @@ import numpy as np
 from . import labels, protocol
 from .config import ConfigError, ScenarioConfig, config_from_dict
 
-# re-exported for harness users; the scenario type is defined in config
 __all__ = [
-    "ScenarioConfig",
-    "ConfigError",
     "RunReport",
     "ReportWriteError",
     "trial_generator",
@@ -93,6 +90,7 @@ class RunReport:
 
     @staticmethod
     def from_dict(data: dict) -> "RunReport":
+        """Report from `to_dict` output, or from a CSV row with its cells decoded."""
         return RunReport(
             config=config_from_dict(data["config"]),
             trials=int(data["trials"]),
@@ -118,9 +116,22 @@ def trial_generator(seed: int, trial: int) -> np.random.Generator:
 
 
 def _binomial_ci(successes: int, trials: int) -> tuple[float, float, float]:
-    p = successes / trials
-    half = _CI_Z * np.sqrt(p * (1.0 - p) / trials)
-    return p, max(0.0, float(p - half)), min(1.0, float(p + half))
+    """Rate and its 95% Wilson score interval.
+
+    Unlike the normal approximation, the interval keeps a positive width at
+    a rate of 0 or 1. The two bounds are the roots of a quadratic whose
+    product is rate^2 / (1 + z^2/trials); the lower one is taken from that
+    product, and the upper one as 1 minus the lower bound of the failure
+    rate, so a rate of 0 gives exactly 0 and a rate of 1 exactly 1.
+    """
+    z2 = _CI_Z**2 / trials
+
+    def lower(rate: float) -> float:
+        # the upper root times (1 + z2): a sum of non-negative terms, no cancellation
+        upper = rate + z2 / 2 + _CI_Z * math.sqrt(rate * (1 - rate) / trials + z2 / (4 * trials))
+        return rate * rate / upper
+
+    return successes / trials, lower(successes / trials), 1 - lower((trials - successes) / trials)
 
 
 def run_trials(config: ScenarioConfig, threads: int = 1) -> RunReport:
@@ -131,7 +142,7 @@ def run_trials(config: ScenarioConfig, threads: int = 1) -> RunReport:
     """
     config.validate()
     if threads < 1:
-        raise ValueError(f"threads must be >= 1, got {threads}")
+        raise ConfigError("threads", f"must be >= 1, got {threads}")
     started = time.perf_counter()
 
     def one_trial(index: int) -> tuple[int, int, int, int, int, int, int]:
@@ -290,23 +301,6 @@ def _report_row(report: RunReport) -> list:
     return row
 
 
-def _row_to_report(row: dict) -> RunReport:
-    def parse(column: str):
-        cell = row[column]
-        return None if cell == "" else float(cell)
-
-    return RunReport(
-        config=config_from_dict(json.loads(row["config"])),
-        trials=int(row["trials"]),
-        detection_rate=float(row["detection_rate"]),
-        ci_low=float(row["ci_low"]),
-        ci_high=float(row["ci_high"]),
-        secret_recovery_rate=parse("secret_recovery_rate"),
-        per_decoy_error_rate=float(row["per_decoy_error_rate"]),
-        exact_detection=parse("exact_detection"),
-    )
-
-
 def _atomic_write(path: str | os.PathLike, text: str) -> None:
     target = Path(path)
     scratch = target.with_name(target.name + ".partial")
@@ -365,4 +359,9 @@ def write_csv(reports: Sequence[RunReport], path: str | os.PathLike) -> None:
 def read_csv(path: str | os.PathLike) -> list[RunReport]:
     with open(path, "r", encoding="utf-8", newline="") as handle:
         reader = csv.DictReader(handle)
-        return [_row_to_report(row) for row in reader]
+        reports = []
+        for row in reader:
+            data = {column: None if cell == "" else cell for column, cell in row.items()}
+            data["config"] = json.loads(row["config"])
+            reports.append(RunReport.from_dict(data))
+        return reports

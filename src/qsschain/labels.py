@@ -18,8 +18,8 @@ rules `pauli`, `measure_qubit`, `measure` and `bell_quarters`;
 `checks.label_rule_table` certifies each of them against the dense engine in
 `qcore` by enumeration.
 
-`run` plays the same protocol as `protocol.run_distribution_dense` with the
-default adversary of `config.attack`, and consumes `rng` in exactly the same
+`run` plays the same protocol as `protocol.run_distribution_dense`, under
+the attack of `config.attack`, and consumes `rng` in exactly the same
 order: the same `integers`, `choice` and `permutation` calls and one uniform
 per measurement, even where the outcome is certain. Its outcome thresholds
 are exact (1/2 and multiples of 1/4). The dense engine's are rounded: its
@@ -27,7 +27,7 @@ p0 for an even split is 0.5 - 2**-53 or 0.5 - 2**-52, and its cumulative
 Bell probabilities fall up to 3 * 2**-53 short of 1/4, 1/2 and 3/4. The
 two engines can therefore pick different outcomes only for a uniform draw
 that lies that close below a threshold (within 2**-52 of 1/2, the only
-threshold a default run meets); certain outcomes agree at every draw.
+threshold a run meets); certain outcomes agree at every draw.
 """
 
 from __future__ import annotations
@@ -204,7 +204,7 @@ def _improved_check(pairs, prepared, keys, codes, fraction, rng) -> ImprovedChec
 
 
 def run(config: ScenarioConfig, rng: np.random.Generator) -> Transcript:
-    """One distribution run under the default adversary of `config.attack`.
+    """One distribution run under the attack of `config.attack`.
 
     The transcript and the final generator state equal those of
     `protocol.run_distribution_dense(config, rng)` from the same generator
@@ -282,8 +282,8 @@ def run(config: ScenarioConfig, rng: np.random.Generator) -> Transcript:
         improved_check=improved,
         payload_positions=payload_positions,
         readout=readout,
-        predicted_readout=[BELL_LABELS[pair] if pair < 4 else None for pair in payload],
         extracted_secret=protocol.extract_secret(prepared_payload, readout),
         attacker_secret=attacker_bits,
+        recovered_composites=[KEYS[c] for c in composites] if collusion else None,
         detected=detected,
     )

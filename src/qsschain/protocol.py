@@ -24,8 +24,11 @@ Two final verification variants are supported:
   particle shows up as a parity mismatch. Sampled pairs are consumed and
   excluded from the secret payload.
 
-Adversaries plug in through a small hook interface (see `adversary`); the
-honest flow never needs to know which attack, if any, is running.
+A run has two engines that give the same transcript from the same
+generator state: `run_distribution` runs the closed-form label engine
+(`labels.run`), and `run_distribution_dense` runs the dense state-vector
+reference it is certified against. Both play the attack of
+`config.attack` inline (see `adversary`).
 """
 
 from __future__ import annotations
@@ -44,31 +47,6 @@ RETAINED_QUBIT = 0
 TRAVELING_QUBIT = 1
 
 
-class DesyncError(RuntimeError):
-    """The wire and the announced decoy layout disagree; the run is corrupt."""
-
-
-@dataclass
-class EprRecord:
-    """One dealer pair: retained particle is qubit 0, traveling is qubit 1.
-
-    `effective_label` is a cheap label-algebra shadow of the state vector:
-    it starts at the prepared label, is advanced by XOR on every Pauli
-    encoding of the traveling qubit, and is invalidated (None) by any
-    mid-protocol projective measurement. On undisturbed runs it predicts
-    the Bell readout exactly.
-    """
-
-    position: int
-    prepared: BellLabel
-    pair_state: PureState
-    effective_label: Optional[BellLabel] = None
-
-    def __post_init__(self) -> None:
-        if self.effective_label is None:
-            self.effective_label = self.prepared
-
-
 @dataclass
 class DecoyRecord:
     """Sender-side description of one decoy: where it sits and how it was prepared."""
@@ -84,45 +62,6 @@ class ParticipantKey:
 
     owner: int
     keys: list[PauliKey]
-
-
-@dataclass
-class PairQubit:
-    """A particle on the wire that is one qubit of a shared pair register."""
-
-    record: EprRecord
-    qubit: int
-
-    def measure(self, basis: Basis, rng: np.random.Generator) -> int:
-        outcome, post = qcore.measure_in_basis(self.record.pair_state, self.qubit, basis, rng)
-        self.record.pair_state = post
-        self.record.effective_label = None
-        return outcome
-
-    def apply_key(self, key: PauliKey) -> None:
-        self.record.pair_state = qcore.apply_pauli(self.record.pair_state, self.qubit, key)
-        if self.qubit == TRAVELING_QUBIT and self.record.effective_label is not None:
-            self.record.effective_label = qcore.pauli_shift_label(
-                self.record.effective_label, key
-            )
-        elif self.qubit != TRAVELING_QUBIT:
-            self.record.effective_label = None
-
-
-@dataclass
-class DecoyQubit:
-    """A decoy particle on the wire, carrying its own single-qubit state."""
-
-    record: DecoyRecord
-    state: PureState
-
-    def measure(self, basis: Basis, rng: np.random.Generator) -> int:
-        outcome, post = qcore.measure_in_basis(self.state, 0, basis, rng)
-        self.state = post
-        return outcome
-
-
-WireParticle = PairQubit | DecoyQubit
 
 
 @dataclass
@@ -162,7 +101,11 @@ class ImprovedCheckRecord:
 
 @dataclass
 class Transcript:
-    """Full record of one distribution run."""
+    """Full record of one distribution run.
+
+    `recovered_composites` holds the colluders' probe readout, one middle-key
+    XOR per pair position, under attack=collusion, and is None otherwise.
+    """
 
     config: ScenarioConfig
     prepared: list[BellLabel]
@@ -171,114 +114,77 @@ class Transcript:
     improved_check: Optional[ImprovedCheckRecord]
     payload_positions: list[int]
     readout: list[BellLabel]
-    predicted_readout: list[Optional[BellLabel]]
     extracted_secret: list[int]
     attacker_secret: Optional[list[int]]
+    recovered_composites: Optional[list[PauliKey]]
     detected: bool
 
 
-def prepare_epr_sequence(m: int, rng: np.random.Generator) -> list[EprRecord]:
-    """Prepare m Bell pairs with uniformly random labels, positions 1..m."""
+def prepare_epr_sequence(
+    m: int, rng: np.random.Generator
+) -> tuple[list[BellLabel], list[PureState]]:
+    """Prepare m Bell pairs with uniformly random labels: (labels, pair states).
+
+    Entry i is the pair at position i + 1. Its retained particle is qubit 0
+    of the pair state and its traveling particle qubit 1.
+    """
     if m < 1:
         raise ValueError(f"pair count must be >= 1, got {m}")
     bits = rng.integers(0, 2, size=(m, 2))
-    records = []
-    for position in range(1, m + 1):
-        label = BellLabel(int(bits[position - 1, 0]), int(bits[position - 1, 1]))
-        records.append(EprRecord(position, label, qcore.bell_state(label)))
-    return records
+    prepared = [BellLabel(int(x), int(y)) for x, y in bits]
+    return prepared, [qcore.bell_state(label) for label in prepared]
 
 
-def insert_decoys(
-    seq_len: int, d: int, rng: np.random.Generator
-) -> tuple[list[bool], list[DecoyRecord]]:
+def insert_decoys(seq_len: int, d: int, rng: np.random.Generator) -> list[DecoyRecord]:
     """Plan a hop: choose decoy slots and preparations for a payload of seq_len.
 
-    Returns (layout, decoys): layout has length seq_len + d with True at
-    decoy slots; decoys are sorted by slot, each prepared uniformly over
-    the four eigenstates {|0>, |1>, |+>, |->}.
+    The hop carries seq_len + d particles. The decoys, sorted by slot, sit
+    at their `insert_position`s and the payload fills the other slots in
+    order. Each decoy is prepared uniformly over the four eigenstates
+    {|0>, |1>, |+>, |->}.
     """
     if seq_len < 0 or d < 0:
         raise ValueError(f"lengths must be non-negative, got seq_len={seq_len}, d={d}")
-    total = seq_len + d
-    layout = [False] * total
-    positions = sorted(int(p) for p in rng.choice(total, size=d, replace=False)) if d else []
-    bits = rng.integers(0, 2, size=(d, 2)) if d else None
-    decoys = []
-    for i, pos in enumerate(positions):
-        layout[pos] = True
-        basis = Basis.Z if bits[i, 0] == 0 else Basis.X
-        decoys.append(DecoyRecord(pos, basis, int(bits[i, 1])))
-    return layout, decoys
-
-
-def assemble_wire(
-    layout: Sequence[bool],
-    decoys: Sequence[DecoyRecord],
-    payload: Sequence[PairQubit],
-) -> list[WireParticle]:
-    """Materialize the hop sequence: fresh decoy particles in their slots."""
-    if sum(layout) != len(decoys):
-        raise DesyncError("layout decoy slots do not match decoy records")
-    if len(layout) - len(decoys) != len(payload):
-        raise DesyncError("layout payload slots do not match payload length")
-    wire: list[WireParticle] = []
-    decoy_iter = iter(decoys)
-    payload_iter = iter(payload)
-    for slot, is_decoy in enumerate(layout):
-        if is_decoy:
-            rec = next(decoy_iter)
-            if rec.insert_position != slot:
-                raise DesyncError(
-                    f"decoy record at slot {rec.insert_position} found in slot {slot}"
-                )
-            wire.append(DecoyQubit(rec, qcore.eigenstate(rec.basis, rec.value)))
-        else:
-            wire.append(next(payload_iter))
-    return wire
-
-
-def strip_decoys(wire: Sequence[WireParticle]) -> list[PairQubit]:
-    """Receiver side: drop decoys, keep payload particles in order."""
-    return [p for p in wire if isinstance(p, PairQubit)]
+    if d == 0:
+        return []
+    positions = sorted(int(p) for p in rng.choice(seq_len + d, size=d, replace=False))
+    bits = rng.integers(0, 2, size=(d, 2))
+    return [
+        DecoyRecord(pos, Basis.Z if basis == 0 else Basis.X, int(value))
+        for pos, (basis, value) in zip(positions, bits)
+    ]
 
 
 def verify_decoys(
-    decoys: Sequence[DecoyRecord],
-    channel_view: Sequence[WireParticle],
-    threshold: float,
-    rng: np.random.Generator,
-) -> tuple[int, bool]:
-    """Measure each decoy in its announced basis and compare with its value.
+    decoys: Sequence[DecoyRecord], arrived: Sequence[PureState], rng: np.random.Generator
+) -> int:
+    """Measure each decoy in its announced basis; return how many differ from the value.
 
-    Returns (error_count, passed); passed iff the error rate is at most
-    `threshold`. With no decoys the check trivially passes.
+    `arrived[i]` is the state in which decoy `decoys[i]` reached the
+    receiver. A hop passes only with no errors.
     """
-    if threshold < 0:
-        raise ValueError(f"threshold must be >= 0, got {threshold}")
+    if len(arrived) != len(decoys):
+        raise ValueError(f"{len(arrived)} arrived decoys for {len(decoys)} announced")
     errors = 0
-    for rec in decoys:
-        if not 0 <= rec.insert_position < len(channel_view):
-            raise DesyncError(f"decoy slot {rec.insert_position} outside the sequence")
-        particle = channel_view[rec.insert_position]
-        if not isinstance(particle, DecoyQubit) or particle.record is not rec:
-            raise DesyncError(f"slot {rec.insert_position} does not hold the announced decoy")
-        if particle.measure(rec.basis, rng) != rec.value:
-            errors += 1
-    rate = errors / len(decoys) if decoys else 0.0
-    return errors, rate <= threshold
+    for rec, state in zip(decoys, arrived):
+        outcome, _ = qcore.measure_in_basis(state, 0, rec.basis, rng)
+        errors += outcome != rec.value
+    return errors
 
 
-def encode_key(records: Sequence[EprRecord], participant: ParticipantKey) -> Sequence[EprRecord]:
-    """Apply U_{u,v} with the participant's key to each traveling qubit."""
-    if len(participant.keys) != len(records):
-        raise ValueError(
-            f"participant {participant.owner} has {len(participant.keys)} keys "
-            f"for {len(records)} pairs"
-        )
-    for record, key in zip(records, participant.keys):
-        PairQubit(record, TRAVELING_QUBIT).apply_key(key)
-    return records
+def encode_key(pairs: Sequence[PureState], keys: Sequence[PauliKey]) -> list[PureState]:
+    """Apply U_{u,v} with one key per pair to each traveling qubit."""
+    if len(keys) != len(pairs):
+        raise ValueError(f"{len(keys)} keys for {len(pairs)} pairs")
+    return [qcore.apply_pauli(pair, TRAVELING_QUBIT, key) for pair, key in zip(pairs, keys)]
+
+
+def key_total(keys: Sequence[ParticipantKey], position: int) -> PauliKey:
+    """XOR of the participants' keys at one pair position (1-based)."""
+    total = PauliKey(0, 0)
+    for participant in keys:
+        total = total ^ participant.keys[position - 1]
+    return total
 
 
 def extract_secret(
@@ -309,7 +215,8 @@ def deduce_parity(prepared: BellLabel, total_published: PauliKey, basis: Basis) 
 
 
 def improved_check(
-    records: Sequence[EprRecord],
+    pairs: list[PureState],
+    prepared: Sequence[BellLabel],
     fraction: float,
     announcements: Sequence[ParticipantKey],
     rng: np.random.Generator,
@@ -320,12 +227,13 @@ def improved_check(
     random Z/X basis, every participant publishes its key for that position
     (announcement order is a recorded random permutation), Alice measures
     the returned particle in the same basis and checks the outcome parity
-    against `deduce_parity`. Sampled pairs are consumed.
+    against `deduce_parity`. Sampled pairs are consumed: their entries in
+    `pairs` are replaced by the measured states.
 
     Returns the per-position record; `passed` is True iff every sampled
     position matched.
     """
-    m = len(records)
+    m = len(pairs)
     if m == 0:
         raise ValueError("cannot sample from an empty pair sequence")
     if not 0.0 < fraction <= 1.0:
@@ -342,9 +250,8 @@ def improved_check(
     chosen = sorted(int(i) for i in rng.choice(m, size=sample_size, replace=False))
     entries = []
     for idx in chosen:
-        record = records[idx]
         basis = Basis.Z if rng.integers(2) == 0 else Basis.X
-        x_outcome = PairQubit(record, RETAINED_QUBIT).measure(basis, rng)
+        x_outcome, pairs[idx] = qcore.measure_in_basis(pairs[idx], RETAINED_QUBIT, basis, rng)
         order = rng.permutation(len(announcements))
         announced = [
             (announcements[j].owner, announcements[j].keys[idx]) for j in order
@@ -352,11 +259,11 @@ def improved_check(
         total = PauliKey(0, 0)
         for _, key in announced:
             total = total ^ key
-        y_outcome = PairQubit(record, TRAVELING_QUBIT).measure(basis, rng)
-        deduced = deduce_parity(record.prepared, total, basis)
+        y_outcome, pairs[idx] = qcore.measure_in_basis(pairs[idx], TRAVELING_QUBIT, basis, rng)
+        deduced = deduce_parity(prepared[idx], total, basis)
         entries.append(
             ImprovedCheckEntry(
-                position=record.position,
+                position=idx + 1,
                 basis=basis,
                 x_outcome=x_outcome,
                 announced=announced,
@@ -369,136 +276,104 @@ def improved_check(
     return ImprovedCheckRecord(entries, passed=all(e.matched for e in entries))
 
 
-def _default_adversary(config: ScenarioConfig):
-    if config.attack == "none":
-        return None
-    from . import adversary  # deferred: adversary builds on this module
-
-    if config.attack == "collusion":
-        return adversary.CollusionAttack()
-    return adversary.InterceptResendEve()
-
-
-def run_distribution(
-    config: ScenarioConfig, rng: np.random.Generator, adversary=None
-) -> Transcript:
+def run_distribution(config: ScenarioConfig, rng: np.random.Generator) -> Transcript:
     """Execute one full distribution run and return its transcript.
 
-    Without `adversary` the run plays the default attack of `config.attack`
-    on the closed-form label engine (`labels.run`). With a hook object (see
-    the adversary module) it runs on the dense state-vector engine,
-    `run_distribution_dense`. Both engines draw from `rng` in the same
-    fixed order, so a fixed generator state reproduces the run bit for bit
-    on either.
+    The run plays the attack of `config.attack` on the closed-form label
+    engine (`labels.run`). `run_distribution_dense` plays the same run on
+    state vectors and draws from `rng` in the same fixed order, so a fixed
+    generator state reproduces the run bit for bit on either engine.
     """
-    if adversary is not None:
-        return run_distribution_dense(config, rng, adversary)
     config.validate()
     from . import labels  # deferred: labels builds on this module
 
     return labels.run(config, rng)
 
 
-def run_distribution_dense(
-    config: ScenarioConfig, rng: np.random.Generator, adversary=None
-) -> Transcript:
+def run_distribution_dense(config: ScenarioConfig, rng: np.random.Generator) -> Transcript:
     """Execute one full distribution run on dense state vectors.
 
-    This is the reference engine that certifies the label engine.
-    `adversary`, if given, must provide the hook interface documented in
-    the adversary module; by default it is derived from `config.attack`.
-    All randomness is drawn from `rng` in a fixed order, so a fixed
-    generator state reproduces the run bit for bit.
+    This is the reference engine that certifies the label engine. Each
+    pair register is a two-qubit `PureState` and each decoy a one-qubit
+    one. The attack of `config.attack` runs inline: the colluders swap in
+    probe pairs at hop 1 and Bell-measure them at hop n, and Eve measures
+    every particle of hop n. All randomness is drawn from `rng` in a fixed
+    order, so a fixed generator state reproduces the run bit for bit.
     """
     config.validate()
-    if adversary is None:
-        adversary = _default_adversary(config)
-    n, m, d = config.n, config.m, config.d
-    threshold = 0.0
+    from . import adversary  # deferred: adversary builds on this module
 
-    records = prepare_epr_sequence(m, rng)
+    n, m, d = config.n, config.m, config.d
+    prepared, pairs = prepare_epr_sequence(m, rng)
     keys = []
     for owner in range(1, n + 1):
         bits = rng.integers(0, 2, size=(m, 2))
-        keys.append(
-            ParticipantKey(owner, [PauliKey(int(u), int(v)) for u, v in bits])
-        )
-    if adversary is not None:
-        adversary.begin_run(n, m, d, rng)
-
+        keys.append(ParticipantKey(owner, [PauliKey(int(u), int(v)) for u, v in bits]))
+    collusion = config.attack == "collusion"
+    eve_hop = n if config.attack == "intercept_resend" else None
     decoy_checks: list[DecoyCheckResult] = []
 
-    def ship(hop: int, payload, prebuilt=None) -> list[PairQubit]:
-        if prebuilt is None:
-            layout, decoys = insert_decoys(len(payload), d, rng)
-            wire = assemble_wire(layout, decoys, payload)
-        else:
-            wire, decoys = prebuilt
-        attacked = False
-        if adversary is not None:
-            attacked = bool(adversary.tamper_channel(hop, wire, rng))
-        errors, passed = verify_decoys(decoys, wire, threshold, rng)
-        decoy_checks.append(DecoyCheckResult(hop, errors, len(decoys), passed, attacked))
-        return strip_decoys(wire)
+    def ship(hop: int, travelers: list[PureState]) -> None:
+        decoys = insert_decoys(len(travelers), d, rng)
+        arrived = [qcore.eigenstate(rec.basis, rec.value) for rec in decoys]
+        if hop == eve_hop:
+            adversary.intercept_resend(decoys, arrived, travelers, rng)
+        errors = verify_decoys(decoys, arrived, rng)
+        decoy_checks.append(DecoyCheckResult(hop, errors, d, errors == 0, hop == eve_hop))
 
-    # hop 0: dealer to the first participant
-    payload = ship(0, [PairQubit(r, TRAVELING_QUBIT) for r in records])
-    # hop k: participant k to participant k+1 (or back to the dealer for k=n)
+    ship(0, pairs)
+    probes = [qcore.bell_state(adversary.PROBE_LABEL)] * m
+    composites: list[PauliKey] = []
     for k in range(1, n + 1):
-        custom = None
-        if adversary is not None:
-            custom = adversary.outgoing_payload(k, payload, keys[k - 1], d, rng)
-        if custom is None:
-            encode_key([ref.record for ref in payload], keys[k - 1])
-            payload = ship(k, payload)
+        if collusion and k == 1:
+            # the first colluder encodes the genuine particles and relays them
+            # privately; the chain carries the probe halves instead
+            pairs = encode_key(pairs, keys[0].keys)
+            ship(1, probes)
+        elif collusion and k == n:
+            composites = adversary.read_probes(probes, rng)
+            pairs = encode_key(pairs, [own ^ c for own, c in zip(keys[n - 1].keys, composites)])
+            ship(n, pairs)
+        elif collusion:
+            probes = encode_key(probes, keys[k - 1].keys)
+            ship(k, probes)
         else:
-            payload = ship(k, None, prebuilt=custom)
-
-    if [ref.record for ref in payload] != records:
-        raise DesyncError("returned particles do not match the dealer's pair registers")
+            pairs = encode_key(pairs, keys[k - 1].keys)
+            ship(k, pairs)
 
     improved = None
-    sampled: list[int] = []
+    sampled: set[int] = set()
     if config.check == "improved":
-        improved = improved_check(records, config.check_fraction, keys, rng)
-        sampled = improved.sampled_positions
+        improved = improved_check(pairs, prepared, config.check_fraction, keys, rng)
+        sampled = set(improved.sampled_positions)
 
-    payload_positions = [r.position for r in records if r.position not in sampled]
-    readout: list[BellLabel] = []
-    predicted: list[Optional[BellLabel]] = []
-    for position in payload_positions:
-        record = records[position - 1]
-        predicted.append(record.effective_label)
-        label, post = qcore.bell_measure(record.pair_state, RETAINED_QUBIT, TRAVELING_QUBIT, rng)
-        record.pair_state = post
-        readout.append(label)
-
-    prepared_payload = [records[p - 1].prepared for p in payload_positions]
-    secret = extract_secret(prepared_payload, readout)
+    payload_positions = [p for p in range(1, m + 1) if p not in sampled]
+    readout = [
+        qcore.bell_measure(pairs[p - 1], RETAINED_QUBIT, TRAVELING_QUBIT, rng)[0]
+        for p in payload_positions
+    ]
+    prepared_payload = [prepared[p - 1] for p in payload_positions]
 
     attacker_bits: Optional[list[int]] = None
-    if adversary is not None:
-        full = adversary.attacker_secret(keys)
-        if full is not None:
-            if len(full) != 2 * m:
-                raise ValueError(f"attacker produced {len(full)} bits for {m} pairs")
-            attacker_bits = []
-            for position in payload_positions:
-                attacker_bits.extend(full[2 * (position - 1) : 2 * position])
+    if collusion:
+        attacker_bits = []
+        for p in payload_positions:
+            total = keys[0].keys[p - 1] ^ composites[p - 1] ^ keys[n - 1].keys[p - 1]
+            attacker_bits.extend(total)
 
     detected = any(not c.passed for c in decoy_checks) or (
         improved is not None and not improved.passed
     )
     return Transcript(
         config=config,
-        prepared=[r.prepared for r in records],
+        prepared=prepared,
         participant_keys=keys,
         decoy_checks=decoy_checks,
         improved_check=improved,
         payload_positions=payload_positions,
         readout=readout,
-        predicted_readout=predicted,
-        extracted_secret=secret,
+        extracted_secret=extract_secret(prepared_payload, readout),
         attacker_secret=attacker_bits,
+        recovered_composites=composites if collusion else None,
         detected=detected,
     )

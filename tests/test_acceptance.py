@@ -12,9 +12,7 @@ import math
 import time
 
 from qsschain import checks, harness, protocol
-from qsschain.adversary import CollusionAttack
 from qsschain.config import ScenarioConfig
-from qsschain.qcore import PauliKey
 
 # the headline collusion scenario, shared by criteria 2, 3, 6 and 7
 COLLUSION_SCENARIO = ScenarioConfig(
@@ -47,10 +45,7 @@ def test_criterion_1_honest_correctness():
                 continue
             expected = []
             for position in transcript.payload_positions:
-                total = PauliKey(0, 0)
-                for participant in transcript.participant_keys:
-                    total = total ^ participant.keys[position - 1]
-                expected.extend((total.u, total.v))
+                expected.extend(protocol.key_total(transcript.participant_keys, position))
             if transcript.extracted_secret != expected:
                 bad_secrets += 1
     elapsed = time.perf_counter() - started
@@ -88,15 +83,11 @@ def test_criterion_3_composite_recovery():
     mismatches = positions = 0
     for index in range(config.trials):
         rng = harness.trial_generator(config.seed, index)
-        attack = CollusionAttack()
-        transcript = protocol.run_distribution(config, rng, adversary=attack)
+        transcript = protocol.run_distribution_dense(config, rng)
         middle = transcript.participant_keys[1:-1]
-        for idx, composite in enumerate(attack.state.recovered_composites):
-            expected = PauliKey(0, 0)
-            for participant in middle:
-                expected = expected ^ participant.keys[idx]
+        for position, composite in enumerate(transcript.recovered_composites, 1):
             positions += 1
-            if composite != expected:
+            if composite != protocol.key_total(middle, position):
                 mismatches += 1
     passed = mismatches == 0 and positions == config.trials * config.m
     _verdict(

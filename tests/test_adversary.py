@@ -6,24 +6,13 @@ import numpy as np
 import pytest
 
 from qsschain import adversary, protocol, qcore
-from qsschain.adversary import CollusionAttack, InterceptResendEve
 from qsschain.config import ScenarioConfig
-from qsschain.protocol import PairQubit, ParticipantKey, TRAVELING_QUBIT
-from qsschain.qcore import Basis, BellLabel, PauliKey
+from qsschain.qcore import BellLabel, PauliKey
 
 ALL_KEYS = [PauliKey(u, v) for u in (0, 1) for v in (0, 1)]
 
 
 class TestCollusionPieces:
-    def test_init_prepares_psi11_pairs(self):
-        state = adversary.collusion_init(5, np.random.default_rng(0))
-        assert len(state.pairs) == 5
-        for pair in state.pairs:
-            assert pair.prepared == BellLabel(1, 1)
-            assert qcore.equal_up_to_phase(pair.pair_state, qcore.bell_state(BellLabel(1, 1)))
-        with pytest.raises(ValueError):
-            adversary.collusion_init(0, np.random.default_rng(0))
-
     def test_recover_composite_frozen_table(self):
         assert adversary.recover_composite(BellLabel(1, 1)) == PauliKey(0, 0)
         assert adversary.recover_composite(BellLabel(1, 0)) == PauliKey(0, 1)
@@ -39,57 +28,11 @@ class TestCollusionPieces:
         assert probs[outcome] == pytest.approx(1.0, abs=1e-9)
         assert adversary.recover_composite(outcome) == composite
 
-    def test_substitution_passes_decoy_check(self):
-        rng = np.random.default_rng(1)
-        genuine = [
-            PairQubit(r, TRAVELING_QUBIT) for r in protocol.prepare_epr_sequence(4, rng)
-        ]
-        state = adversary.collusion_init(4, rng)
-        layout, decoys = protocol.insert_decoys(4, 8, rng)
-        wire = adversary.substitute_and_relay(state, genuine, (layout, decoys), rng)
-        assert state.relayed_y == genuine
-        errors, passed = protocol.verify_decoys(decoys, wire, 0.0, rng)
-        assert (errors, passed) == (0, True)
-        payload = protocol.strip_decoys(wire)
-        assert all(p.record in state.pairs for p in payload)
-
     def test_probe_halves_accumulate_middle_keys(self):
-        rng = np.random.default_rng(2)
-        state = adversary.collusion_init(3, rng)
-        halves = [PairQubit(pair, TRAVELING_QUBIT) for pair in state.pairs]
         middle = [PauliKey(1, 0), PauliKey(0, 1), PauliKey(1, 1)]
-        for half, key in zip(halves, middle):
-            half.apply_key(key)
-        state.relayed_y = []  # satisfy the ordering precondition directly
-        composites = adversary.measure_probe_pairs(state, rng)
-        assert composites == middle
-
-    def test_measure_before_substitution_is_an_error(self):
-        state = adversary.collusion_init(2, np.random.default_rng(3))
-        with pytest.raises(RuntimeError):
-            adversary.measure_probe_pairs(state, np.random.default_rng(3))
-
-    def test_finalize_preconditions(self):
-        rng = np.random.default_rng(4)
-        state = adversary.collusion_init(2, rng)
-        key = ParticipantKey(2, [PauliKey(0, 0)] * 2)
-        with pytest.raises(RuntimeError):
-            adversary.finalize_and_return(state, key, 2, rng)
-        state.relayed_y = [
-            PairQubit(r, TRAVELING_QUBIT) for r in protocol.prepare_epr_sequence(2, rng)
-        ]
-        with pytest.raises(RuntimeError):  # composites still missing
-            adversary.finalize_and_return(state, key, 2, rng)
-
-    def test_relay_length_mismatch(self):
-        rng = np.random.default_rng(5)
-        state = adversary.collusion_init(3, rng)
-        genuine = [
-            PairQubit(r, TRAVELING_QUBIT) for r in protocol.prepare_epr_sequence(2, rng)
-        ]
-        layout, decoys = protocol.insert_decoys(2, 1, rng)
-        with pytest.raises(ValueError):
-            adversary.substitute_and_relay(state, genuine, (layout, decoys), rng)
+        probes = [qcore.bell_state(adversary.PROBE_LABEL)] * 3
+        probes = protocol.encode_key(probes, middle)
+        assert adversary.read_probes(probes, np.random.default_rng(2)) == middle
 
 
 class TestCollusionEndToEnd:
@@ -112,27 +55,19 @@ class TestCollusionEndToEnd:
         assert transcript.attacker_secret == transcript.extracted_secret
 
     def test_composites_equal_middle_key_xor(self):
-        attack = CollusionAttack()
         config = ScenarioConfig(n=5, m=16, d=8, attack="collusion", trials=1, seed=77)
-        transcript = protocol.run_distribution(
-            config, np.random.default_rng(77), adversary=attack
-        )
+        transcript = protocol.run_distribution_dense(config, np.random.default_rng(77))
         assert not transcript.detected
         middle = transcript.participant_keys[1:-1]
-        for idx, composite in enumerate(attack.state.recovered_composites):
-            expected = PauliKey(0, 0)
-            for participant in middle:
-                expected = expected ^ participant.keys[idx]
-            assert composite == expected
+        assert transcript.recovered_composites == [
+            protocol.key_total(middle, position) for position in range(1, config.m + 1)
+        ]
 
     def test_two_participant_chain_has_empty_composite(self):
         """With n=2 there are no middle participants: composites are (0,0)."""
-        attack = CollusionAttack()
         config = ScenarioConfig(n=2, m=6, d=2, attack="collusion", trials=1, seed=55)
-        transcript = protocol.run_distribution(
-            config, np.random.default_rng(55), adversary=attack
-        )
-        assert attack.state.recovered_composites == [PauliKey(0, 0)] * 6
+        transcript = protocol.run_distribution_dense(config, np.random.default_rng(55))
+        assert transcript.recovered_composites == [PauliKey(0, 0)] * 6
         assert transcript.attacker_secret == transcript.extracted_secret
 
     @pytest.mark.parametrize("check", ["original", "improved"])
@@ -150,31 +85,19 @@ class TestInterceptResend:
     def test_decoy_error_rate_near_quarter(self):
         rng = np.random.default_rng(6)
         total = 4000
-        layout, decoys = protocol.insert_decoys(0, total, rng)
-        wire = protocol.assemble_wire(layout, decoys, [])
-        adversary.intercept_resend(wire, rng)
-        errors, _ = protocol.verify_decoys(decoys, wire, 1.0, rng)
+        decoys = protocol.insert_decoys(0, total, rng)
+        arrived = [qcore.eigenstate(rec.basis, rec.value) for rec in decoys]
+        adversary.intercept_resend(decoys, arrived, [], rng)
+        errors = protocol.verify_decoys(decoys, arrived, rng)
         rate = errors / total
         assert abs(rate - 0.25) < 3 * math.sqrt(0.25 * 0.75 / total)
-
-    def test_only_configured_hop_is_touched(self):
-        config = ScenarioConfig(n=3, m=4, d=6, attack="intercept_resend", trials=1, seed=30)
-        eve = InterceptResendEve(hop=0)
-        transcript = protocol.run_distribution(config, np.random.default_rng(30), adversary=eve)
-        flags = {c.hop: c.attacked for c in transcript.decoy_checks}
-        assert flags == {0: True, 1: False, 2: False, 3: False}
-        clean_hops = [c for c in transcript.decoy_checks if not c.attacked]
-        assert all(c.error_count == 0 for c in clean_hops)
 
     def test_default_hop_is_the_last(self):
         config = ScenarioConfig(n=3, m=4, d=6, attack="intercept_resend", trials=1, seed=31)
         transcript = protocol.run_distribution(config, np.random.default_rng(31))
         assert [c.hop for c in transcript.decoy_checks if c.attacked] == [3]
-
-    def test_hop_out_of_range_rejected(self):
-        eve = InterceptResendEve(hop=5)
-        with pytest.raises(ValueError):
-            eve.begin_run(3, 4, 2, np.random.default_rng(0))
+        clean_hops = [c for c in transcript.decoy_checks if not c.attacked]
+        assert all(c.error_count == 0 for c in clean_hops)
 
     def test_detection_rate_matches_closed_form(self):
         detections = 0

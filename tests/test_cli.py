@@ -72,11 +72,18 @@ class TestRun:
 
 
 class TestScenarioResolution:
-    def test_invalid_participant_count(self, capsys):
-        code = run_cli("run", "--n", "1", "--trials", "1")
+    @pytest.mark.parametrize(
+        "flags,named",
+        [
+            (("--n", "1", "--trials", "1"), "participants"),
+            (("--trials", "5", "--threads", "0"), "threads"),
+        ],
+    )
+    def test_invalid_value_names_its_field(self, flags, named, capsys):
+        code = run_cli("run", *flags)
         err = capsys.readouterr().err
         assert code == 2
-        assert "participants" in err
+        assert named in err
         assert err.startswith("configuration error:")
 
     def test_scenario_file_with_flag_overrides(self, tmp_path, capsys):

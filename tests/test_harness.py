@@ -39,7 +39,8 @@ class TestRunTrials:
         report = harness.run_trials(config)
         assert report.trials == 50
         assert report.detection_rate == 0.0
-        assert report.ci_low == 0.0 and report.ci_high == 0.0
+        assert report.ci_low == 0.0
+        assert report.ci_high == pytest.approx(1.96**2 / (50 + 1.96**2), abs=1e-12)
         assert report.secret_recovery_rate is None
         assert report.per_decoy_error_rate == 0.0
         assert report.exact_detection == 0.0
@@ -68,14 +69,20 @@ class TestRunTrials:
         assert report.ci_low <= report.detection_rate <= report.ci_high
 
     def test_ci_is_clamped_and_centered(self):
+        """Wilson score interval: center (p + z^2/2n) / (1 + z^2/n), width stays positive."""
+        z2 = 1.96**2
         config = ScenarioConfig(n=2, m=1, d=1, attack="intercept_resend", trials=30, seed=4)
         report = harness.run_trials(config)
         assert 0.0 <= report.ci_low <= report.detection_rate
         assert report.detection_rate <= report.ci_high <= 1.0
-        p = report.detection_rate
-        half = 1.96 * math.sqrt(p * (1 - p) / 30)
-        assert report.ci_low == pytest.approx(max(0.0, p - half), abs=1e-12)
-        assert report.ci_high == pytest.approx(min(1.0, p + half), abs=1e-12)
+        p, n = report.detection_rate, 30
+        center = (p + z2 / (2 * n)) / (1 + z2 / n)
+        half = 1.96 * math.sqrt(p * (1 - p) / n + z2 / (4 * n * n)) / (1 + z2 / n)
+        assert report.ci_low == pytest.approx(center - half, abs=1e-12)
+        assert report.ci_high == pytest.approx(center + half, abs=1e-12)
+        # 0 of 1000: the normal approximation collapsed to [0, 0]
+        assert harness._binomial_ci(0, 1000) == (0.0, 0.0, pytest.approx(0.003827, abs=1e-6))
+        assert harness._binomial_ci(1000, 1000) == (1.0, pytest.approx(0.996173, abs=1e-6), 1.0)
 
     def test_same_seed_same_report(self):
         config = ScenarioConfig(n=3, m=4, d=2, attack="collusion", trials=40, seed=5)

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from qsschain import checks, harness, labels, protocol, qcore
-from qsschain.adversary import CollusionAttack
 from qsschain.config import ATTACK_KINDS, CHECK_KINDS, ScenarioConfig
 
 
@@ -31,8 +30,6 @@ def test_default_run_builds_no_state_vector(attack, check, monkeypatch):
     monkeypatch.setattr(qcore.PureState, "__post_init__", refuse)
     transcript = protocol.run_distribution(config, harness.trial_generator(3, 0))
     assert len(transcript.decoy_checks) == config.n + 1
-    with pytest.raises(AssertionError):
-        protocol.run_distribution(config, harness.trial_generator(3, 0), adversary=CollusionAttack())
 
 
 def test_certain_outcomes_at_edge_draws():

@@ -1,4 +1,4 @@
-"""Distribution-phase tests: decoy plumbing, key algebra, honest end-to-end runs."""
+"""Distribution-phase tests: decoy checks, key algebra, honest end-to-end runs."""
 
 import itertools
 import math
@@ -8,60 +8,49 @@ import pytest
 
 from qsschain import protocol, qcore
 from qsschain.config import ScenarioConfig
-from qsschain.protocol import (
-    DecoyQubit,
-    DesyncError,
-    PairQubit,
-    ParticipantKey,
-    TRAVELING_QUBIT,
-)
+from qsschain.protocol import ParticipantKey, TRAVELING_QUBIT
 from qsschain.qcore import Basis, BellLabel, PauliKey
 
 ALL_LABELS = [BellLabel(x, y) for x in (0, 1) for y in (0, 1)]
 ALL_KEYS = [PauliKey(u, v) for u in (0, 1) for v in (0, 1)]
 
 
-def xor_total(keys):
-    total = PauliKey(0, 0)
-    for key in keys:
-        total = total ^ key
-    return total
+def decoy_states(decoys):
+    return [qcore.eigenstate(rec.basis, rec.value) for rec in decoys]
 
 
 class TestPrepare:
-    def test_positions_and_states(self):
-        records = protocol.prepare_epr_sequence(3, np.random.default_rng(0))
-        assert [r.position for r in records] == [1, 2, 3]
-        for record in records:
-            assert record.effective_label == record.prepared
-            assert qcore.equal_up_to_phase(record.pair_state, qcore.bell_state(record.prepared))
+    def test_states_match_labels(self):
+        prepared, pairs = protocol.prepare_epr_sequence(3, np.random.default_rng(0))
+        assert len(prepared) == len(pairs) == 3
+        for label, pair in zip(prepared, pairs):
+            assert qcore.equal_up_to_phase(pair, qcore.bell_state(label))
 
     def test_zero_pairs_rejected(self):
         with pytest.raises(ValueError):
             protocol.prepare_epr_sequence(0, np.random.default_rng(0))
 
     def test_seed_reproduces_labels(self):
-        first = protocol.prepare_epr_sequence(32, np.random.default_rng(41))
-        second = protocol.prepare_epr_sequence(32, np.random.default_rng(41))
-        assert [r.prepared for r in first] == [r.prepared for r in second]
+        first, _ = protocol.prepare_epr_sequence(32, np.random.default_rng(41))
+        second, _ = protocol.prepare_epr_sequence(32, np.random.default_rng(41))
+        assert first == second
 
     def test_labels_cover_all_four(self):
-        records = protocol.prepare_epr_sequence(200, np.random.default_rng(1))
-        assert {tuple(r.prepared) for r in records} == {(0, 0), (0, 1), (1, 0), (1, 1)}
+        prepared, _ = protocol.prepare_epr_sequence(200, np.random.default_rng(1))
+        assert {tuple(label) for label in prepared} == {(0, 0), (0, 1), (1, 0), (1, 1)}
 
 
 class TestDecoyPlanning:
     @pytest.mark.parametrize("seq_len,d", [(0, 1), (5, 0), (5, 3), (1, 8)])
     def test_layout_shape(self, seq_len, d):
-        layout, decoys = protocol.insert_decoys(seq_len, d, np.random.default_rng(2))
-        assert len(layout) == seq_len + d
-        assert sum(layout) == d == len(decoys)
-        assert [rec.insert_position for rec in decoys] == sorted(
-            i for i, flag in enumerate(layout) if flag
-        )
+        decoys = protocol.insert_decoys(seq_len, d, np.random.default_rng(2))
+        slots = [rec.insert_position for rec in decoys]
+        assert len(decoys) == d
+        assert slots == sorted(set(slots))
+        assert all(0 <= slot < seq_len + d for slot in slots)
 
     def test_preparations_cover_all_four_states(self):
-        _, decoys = protocol.insert_decoys(0, 400, np.random.default_rng(3))
+        decoys = protocol.insert_decoys(0, 400, np.random.default_rng(3))
         seen = {(rec.basis, rec.value) for rec in decoys}
         assert seen == {(b, v) for b in (Basis.Z, Basis.X) for v in (0, 1)}
 
@@ -70,100 +59,51 @@ class TestDecoyPlanning:
             protocol.insert_decoys(-1, 2, np.random.default_rng(0))
 
 
-class TestWireAssembly:
-    def _payload(self, m, rng):
-        return [
-            PairQubit(r, TRAVELING_QUBIT) for r in protocol.prepare_epr_sequence(m, rng)
-        ]
-
-    def test_roundtrip_preserves_payload_order(self):
-        rng = np.random.default_rng(4)
-        payload = self._payload(6, rng)
-        layout, decoys = protocol.insert_decoys(6, 4, rng)
-        wire = protocol.assemble_wire(layout, decoys, payload)
-        assert len(wire) == 10
-        assert protocol.strip_decoys(wire) == payload
-
-    def test_layout_mismatch_raises(self):
-        rng = np.random.default_rng(5)
-        payload = self._payload(2, rng)
-        layout, decoys = protocol.insert_decoys(2, 2, rng)
-        with pytest.raises(DesyncError):
-            protocol.assemble_wire(layout, decoys[:1], payload)
-        with pytest.raises(DesyncError):
-            protocol.assemble_wire(layout, decoys, payload[:1])
-
+class TestDecoyVerification:
     def test_untampered_decoys_verify_clean(self):
         rng = np.random.default_rng(6)
-        payload = self._payload(4, rng)
-        layout, decoys = protocol.insert_decoys(4, 16, rng)
-        wire = protocol.assemble_wire(layout, decoys, payload)
-        errors, passed = protocol.verify_decoys(decoys, wire, 0.0, rng)
-        assert (errors, passed) == (0, True)
+        decoys = protocol.insert_decoys(4, 16, rng)
+        assert protocol.verify_decoys(decoys, decoy_states(decoys), rng) == 0
 
     def test_tampered_decoy_is_caught(self):
         rng = np.random.default_rng(7)
-        layout, decoys = protocol.insert_decoys(0, 1, rng)
-        wire = protocol.assemble_wire(layout, decoys, [])
-        particle = wire[0]
-        assert isinstance(particle, DecoyQubit)
-        # flip the decoy to the orthogonal state in its preparation basis
-        particle.state = qcore.eigenstate(decoys[0].basis, decoys[0].value ^ 1)
-        errors, passed = protocol.verify_decoys(decoys, wire, 0.0, rng)
-        assert (errors, passed) == (1, False)
-
-    def test_threshold_semantics(self):
-        rng = np.random.default_rng(8)
-        layout, decoys = protocol.insert_decoys(0, 4, rng)
-        wire = protocol.assemble_wire(layout, decoys, [])
-        wire[0].state = qcore.eigenstate(decoys[0].basis, decoys[0].value ^ 1)
-        errors, passed = protocol.verify_decoys(decoys, wire, 0.25, rng)
-        assert errors == 1 and passed  # 1/4 <= threshold
+        decoys = protocol.insert_decoys(0, 1, rng)
+        # the decoy arrives in the orthogonal state of its preparation basis
+        arrived = [qcore.eigenstate(decoys[0].basis, decoys[0].value ^ 1)]
+        assert protocol.verify_decoys(decoys, arrived, rng) == 1
 
     def test_no_decoys_passes(self):
-        errors, passed = protocol.verify_decoys([], [], 0.0, np.random.default_rng(0))
-        assert (errors, passed) == (0, True)
+        assert protocol.verify_decoys([], [], np.random.default_rng(0)) == 0
 
-    def test_missing_decoy_desyncs(self):
+    def test_arrived_count_must_match(self):
         rng = np.random.default_rng(9)
-        payload = self._payload(1, rng)
-        layout, decoys = protocol.insert_decoys(1, 1, rng)
-        wire = protocol.assemble_wire(layout, decoys, payload)
-        swapped = [wire[1], wire[0]]
-        with pytest.raises(DesyncError):
-            protocol.verify_decoys(decoys, swapped, 0.0, rng)
+        decoys = protocol.insert_decoys(1, 2, rng)
+        with pytest.raises(ValueError):
+            protocol.verify_decoys(decoys, decoy_states(decoys)[:1], rng)
 
 
 class TestEncodeKey:
     def test_zero_keys_are_identity(self):
-        rng = np.random.default_rng(10)
-        records = protocol.prepare_epr_sequence(4, rng)
-        before = [r.pair_state.amplitudes.copy() for r in records]
-        protocol.encode_key(records, ParticipantKey(1, [PauliKey(0, 0)] * 4))
-        for record, amps in zip(records, before):
-            np.testing.assert_allclose(record.pair_state.amplitudes, amps)
-            assert record.effective_label == record.prepared
+        _, pairs = protocol.prepare_epr_sequence(4, np.random.default_rng(10))
+        encoded = protocol.encode_key(pairs, [PauliKey(0, 0)] * 4)
+        for before, after in zip(pairs, encoded):
+            np.testing.assert_allclose(after.amplitudes, before.amplitudes)
 
     def test_bit_flip_key_shifts_x(self):
-        record = protocol.EprRecord(1, BellLabel(0, 0), qcore.bell_state(BellLabel(0, 0)))
-        protocol.encode_key([record], ParticipantKey(1, [PauliKey(1, 0)]))
-        assert record.effective_label == BellLabel(1, 0)
-        assert qcore.equal_up_to_phase(record.pair_state, qcore.bell_state(BellLabel(1, 0)))
+        [encoded] = protocol.encode_key([qcore.bell_state(BellLabel(0, 0))], [PauliKey(1, 0)])
+        assert qcore.equal_up_to_phase(encoded, qcore.bell_state(BellLabel(1, 0)))
 
     def test_double_encode_is_involution(self):
-        rng = np.random.default_rng(11)
-        records = protocol.prepare_epr_sequence(3, rng)
-        keys = ParticipantKey(1, [PauliKey(1, 1), PauliKey(0, 1), PauliKey(1, 0)])
-        protocol.encode_key(records, keys)
-        protocol.encode_key(records, keys)
-        for record in records:
-            assert record.effective_label == record.prepared
-            assert qcore.equal_up_to_phase(record.pair_state, qcore.bell_state(record.prepared))
+        prepared, pairs = protocol.prepare_epr_sequence(3, np.random.default_rng(11))
+        keys = [PauliKey(1, 1), PauliKey(0, 1), PauliKey(1, 0)]
+        twice = protocol.encode_key(protocol.encode_key(pairs, keys), keys)
+        for label, pair in zip(prepared, twice):
+            assert qcore.equal_up_to_phase(pair, qcore.bell_state(label))
 
     def test_key_count_mismatch(self):
-        records = protocol.prepare_epr_sequence(2, np.random.default_rng(0))
+        _, pairs = protocol.prepare_epr_sequence(2, np.random.default_rng(0))
         with pytest.raises(ValueError):
-            protocol.encode_key(records, ParticipantKey(1, [PauliKey(0, 0)]))
+            protocol.encode_key(pairs, [PauliKey(0, 0)])
 
 
 class TestExtractSecret:
@@ -180,7 +120,9 @@ class TestExtractSecret:
             keys = [
                 PauliKey(int(rng.integers(2)), int(rng.integers(2))) for _ in range(3)
             ]
-            total = xor_total(keys)
+            total = protocol.key_total(
+                [ParticipantKey(owner, [key]) for owner, key in enumerate(keys, 1)], 1
+            )
             readout = qcore.pauli_shift_label(prepared, total)
             assert protocol.extract_secret([prepared], [readout]) == [total.u, total.v]
 
@@ -214,50 +156,54 @@ class TestDeduceParity:
 
 class TestImprovedCheck:
     def _setup(self, m, n_participants, rng):
-        records = protocol.prepare_epr_sequence(m, rng)
+        prepared, pairs = protocol.prepare_epr_sequence(m, rng)
         keys = []
         for owner in range(1, n_participants + 1):
             bits = rng.integers(0, 2, size=(m, 2))
             key = ParticipantKey(owner, [PauliKey(int(u), int(v)) for u, v in bits])
-            protocol.encode_key(records, key)
+            pairs = protocol.encode_key(pairs, key.keys)
             keys.append(key)
-        return records, keys
+        return pairs, prepared, keys
 
     def test_honest_pairs_always_match(self):
         for seed in range(25):
             rng = np.random.default_rng(seed)
-            records, keys = self._setup(8, 3, rng)
-            result = protocol.improved_check(records, 0.5, keys, rng)
+            pairs, prepared, keys = self._setup(8, 3, rng)
+            result = protocol.improved_check(pairs, prepared, 0.5, keys, rng)
             assert result.passed
             assert len(result.entries) == 4
             for entry in result.entries:
                 assert entry.matched
-                assert entry.total_published == xor_total(key for _, key in entry.announced)
+                assert entry.total_published == protocol.key_total(keys, entry.position)
 
     @pytest.mark.parametrize(
         "m,fraction,expected", [(8, 0.5, 4), (5, 0.5, 3), (8, 1.0, 8), (8, 0.01, 1)]
     )
     def test_sample_size_is_ceil(self, m, fraction, expected):
         rng = np.random.default_rng(13)
-        records, keys = self._setup(m, 2, rng)
-        result = protocol.improved_check(records, fraction, keys, rng)
+        pairs, prepared, keys = self._setup(m, 2, rng)
+        result = protocol.improved_check(pairs, prepared, fraction, keys, rng)
         assert len(result.entries) == expected
         assert math.ceil(fraction * m) == expected
 
     def test_fraction_validation(self):
         rng = np.random.default_rng(14)
-        records, keys = self._setup(4, 2, rng)
+        pairs, prepared, keys = self._setup(4, 2, rng)
         for bad in (0.0, -0.5, 1.5):
             with pytest.raises(ValueError):
-                protocol.improved_check(records, bad, keys, rng)
+                protocol.improved_check(pairs, prepared, bad, keys, rng)
 
     def test_sampled_pairs_are_consumed(self):
         rng = np.random.default_rng(15)
-        records, keys = self._setup(4, 2, rng)
-        result = protocol.improved_check(records, 1.0, keys, rng)
+        pairs, prepared, keys = self._setup(4, 2, rng)
+        result = protocol.improved_check(pairs, prepared, 1.0, keys, rng)
         assert sorted(result.sampled_positions) == [1, 2, 3, 4]
-        for record in records:
-            assert record.effective_label is None
+        for entry in result.entries:
+            measured = np.kron(
+                qcore.eigenstate(entry.basis, entry.x_outcome).amplitudes,
+                qcore.eigenstate(entry.basis, entry.y_outcome).amplitudes,
+            )
+            assert qcore.equal_up_to_phase(pairs[entry.position - 1], qcore.PureState(2, measured))
 
     def test_substituted_fresh_qubit_mismatches_half(self):
         """A traveling particle replaced by an uncorrelated |0> fails half the time.
@@ -270,20 +216,21 @@ class TestImprovedCheck:
         trials = 2000
         rng = np.random.default_rng(16)
         for _ in range(trials):
-            records, keys = self._setup(1, 2, np.random.default_rng(int(rng.integers(2**32))))
-            record = records[0]
+            pairs, prepared, keys = self._setup(
+                1, 2, np.random.default_rng(int(rng.integers(2**32)))
+            )
             # substitute: the genuine traveling half is gone, a fresh |0> arrives
             retained_probs = qcore.measurement_probabilities(
-                record.pair_state, protocol.RETAINED_QUBIT, Basis.Z
+                pairs[0], protocol.RETAINED_QUBIT, Basis.Z
             )
-            record.pair_state = qcore.PureState(
+            pairs[0] = qcore.PureState(
                 2,
                 np.kron(
                     qcore.eigenstate(Basis.Z, 0 if rng.random() < retained_probs[0] else 1).amplitudes,
                     qcore.eigenstate(Basis.Z, 0).amplitudes,
                 ),
             )
-            result = protocol.improved_check(records, 1.0, keys, rng)
+            result = protocol.improved_check(pairs, prepared, 1.0, keys, rng)
             mismatches += 0 if result.passed else 1
         rate = mismatches / trials
         assert abs(rate - 0.5) < 3 * math.sqrt(0.25 / trials)
@@ -294,9 +241,11 @@ class TestImprovedCheck:
         trials = 4000
         rng = np.random.default_rng(17)
         for _ in range(trials):
-            records, keys = self._setup(1, 2, np.random.default_rng(int(rng.integers(2**32))))
-            PairQubit(records[0], TRAVELING_QUBIT).measure(Basis.Z, rng)
-            result = protocol.improved_check(records, 1.0, keys, rng)
+            pairs, prepared, keys = self._setup(
+                1, 2, np.random.default_rng(int(rng.integers(2**32)))
+            )
+            _, pairs[0] = qcore.measure_in_basis(pairs[0], TRAVELING_QUBIT, Basis.Z, rng)
+            result = protocol.improved_check(pairs, prepared, 1.0, keys, rng)
             mismatches += 0 if result.passed else 1
         rate = mismatches / trials
         assert abs(rate - 0.25) < 3 * math.sqrt(0.25 * 0.75 / trials)
@@ -323,10 +272,7 @@ class TestRunDistribution:
         assert not transcript.detected
         expected = []
         for position in transcript.payload_positions:
-            total = xor_total(
-                p.keys[position - 1] for p in transcript.participant_keys
-            )
-            expected.extend((total.u, total.v))
+            expected.extend(protocol.key_total(transcript.participant_keys, position))
         assert transcript.extracted_secret == expected
 
     def test_improved_check_consumes_sampled_positions(self):
@@ -345,12 +291,6 @@ class TestRunDistribution:
         assert transcript.payload_positions == []
         assert transcript.extracted_secret == []
         assert transcript.improved_check.passed
-
-    def test_fast_path_predicts_readout_when_untouched(self):
-        for seed in range(10):
-            config = ScenarioConfig(n=3, m=5, d=2, trials=1, seed=seed)
-            transcript = protocol.run_distribution_dense(config, np.random.default_rng(seed))
-            assert transcript.predicted_readout == transcript.readout
 
     def test_same_generator_state_reproduces_run(self):
         config = ScenarioConfig(n=3, m=8, d=4, attack="collusion", trials=1, seed=9)
