@@ -7,7 +7,7 @@ import pytest
 
 from qsschain import adversary, protocol, qcore
 from qsschain.config import ScenarioConfig
-from qsschain.qcore import BellLabel, PauliKey
+from qsschain.qcore import Basis, BellLabel, PauliKey
 
 ALL_KEYS = [PauliKey(u, v) for u in (0, 1) for v in (0, 1)]
 
@@ -27,6 +27,10 @@ class TestCollusionPieces:
         outcome = max(probs, key=probs.get)
         assert probs[outcome] == pytest.approx(1.0, abs=1e-9)
         assert adversary.recover_composite(outcome) == composite
+
+    def test_untouched_probes_read_zero_composite(self):
+        probes = [qcore.bell_state(adversary.PROBE_LABEL)] * 4
+        assert adversary.read_probes(probes, np.random.default_rng(3)) == [PauliKey(0, 0)] * 4
 
     def test_probe_halves_accumulate_middle_keys(self):
         middle = [PauliKey(1, 0), PauliKey(0, 1), PauliKey(1, 1)]
@@ -91,6 +95,28 @@ class TestInterceptResend:
         errors = protocol.verify_decoys(decoys, arrived, rng)
         rate = errors / total
         assert abs(rate - 0.25) < 3 * math.sqrt(0.25 * 0.75 / total)
+
+    def test_every_particle_is_left_in_an_eigenstate(self):
+        """Every decoy and every traveling half ends in a Z or X eigenstate."""
+
+        def certain(state, qubit):
+            return any(
+                max(qcore.measurement_probabilities(state, qubit, basis))
+                == pytest.approx(1.0, abs=1e-9)
+                for basis in (Basis.Z, Basis.X)
+            )
+
+        rng = np.random.default_rng(19)
+        _, pairs = protocol.prepare_epr_sequence(5, rng)
+        decoys = protocol.insert_decoys(len(pairs), 4, rng)
+        # a state certain in neither basis, so only a measurement makes it certain
+        tilted = qcore.PureState(1, np.array([math.cos(math.pi / 8), math.sin(math.pi / 8)]))
+        arrived = [tilted] * len(decoys)
+        assert not certain(tilted, 0)
+        adversary.intercept_resend(decoys, arrived, pairs, rng)
+        assert all(certain(state, 0) for state in arrived)
+        assert all(certain(pair, protocol.TRAVELING_QUBIT) for pair in pairs)
+        assert all(certain(pair, protocol.RETAINED_QUBIT) for pair in pairs)
 
     def test_default_hop_is_the_last(self):
         config = ScenarioConfig(n=3, m=4, d=6, attack="intercept_resend", trials=1, seed=31)

@@ -1,5 +1,6 @@
 """Harness tests: trial streams, aggregation, exact companions, report files."""
 
+import csv
 import dataclasses
 import json
 import math
@@ -8,7 +9,7 @@ from fractions import Fraction
 import pytest
 
 from qsschain import harness
-from qsschain.config import ScenarioConfig
+from qsschain.config import ConfigError, ScenarioConfig
 from qsschain.harness import ReportWriteError, RunReport
 
 
@@ -84,6 +85,17 @@ class TestRunTrials:
         assert harness._binomial_ci(0, 1000) == (0.0, 0.0, pytest.approx(0.003827, abs=1e-6))
         assert harness._binomial_ci(1000, 1000) == (1.0, pytest.approx(0.996173, abs=1e-6), 1.0)
 
+    def test_ci_mirrors_under_swapped_outcomes(self):
+        """The interval of k of n is the mirror image of the one of n - k of n."""
+        for trials in (1, 7, 50, 1000):
+            for successes in range(0, trials + 1, max(1, trials // 7)):
+                rate, low, high = harness._binomial_ci(successes, trials)
+                _, mirror_low, mirror_high = harness._binomial_ci(trials - successes, trials)
+                assert 0.0 <= low <= rate <= high <= 1.0
+                assert low < high
+                assert low == pytest.approx(1.0 - mirror_high, abs=1e-12)
+                assert high == pytest.approx(1.0 - mirror_low, abs=1e-12)
+
     def test_same_seed_same_report(self):
         config = ScenarioConfig(n=3, m=4, d=2, attack="collusion", trials=40, seed=5)
         first = strip_time(harness.run_trials(config))
@@ -101,6 +113,11 @@ class TestRunTrials:
     def test_bad_thread_count(self):
         with pytest.raises(ValueError):
             harness.run_trials(ScenarioConfig(trials=1), threads=0)
+
+    def test_bad_thread_count_names_its_field(self):
+        with pytest.raises(ConfigError) as caught:
+            harness.run_trials(ScenarioConfig(trials=1), threads=0)
+        assert caught.value.field == "threads"
 
 
 class TestExactDetection:
@@ -178,6 +195,25 @@ class TestReportFiles:
         loaded = harness.read_report(path, "csv")
         assert loaded.secret_recovery_rate is None
         assert loaded == strip_time(report)
+
+    def test_missing_required_value_is_rejected(self, tmp_path):
+        """A blank CSV cell fails like a JSON null: both reach `from_dict` as None."""
+        report = self._report()
+        data = report.to_dict()
+        data["detection_rate"] = None
+        with pytest.raises(TypeError):
+            RunReport.from_dict(data)
+        path = tmp_path / "report.csv"
+        harness.write_report(report, path, "csv")
+        with open(path, newline="") as handle:
+            [row] = list(csv.DictReader(handle))
+        row["detection_rate"] = ""
+        with open(path, "w", newline="") as handle:
+            writer = csv.DictWriter(handle, fieldnames=harness.REPORT_COLUMNS)
+            writer.writeheader()
+            writer.writerow(row)
+        with pytest.raises(TypeError):
+            harness.read_report(path, "csv")
 
     def test_multi_row_csv(self, tmp_path):
         reports = [self._report(seed=s) for s in (1, 2, 3)]

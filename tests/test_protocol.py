@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from qsschain import protocol, qcore
-from qsschain.config import ScenarioConfig
+from qsschain.config import ATTACK_KINDS, ScenarioConfig
 from qsschain.protocol import ParticipantKey, TRAVELING_QUBIT
 from qsschain.qcore import Basis, BellLabel, PauliKey
 
@@ -54,6 +54,11 @@ class TestDecoyPlanning:
         seen = {(rec.basis, rec.value) for rec in decoys}
         assert seen == {(b, v) for b in (Basis.Z, Basis.X) for v in (0, 1)}
 
+    def test_seed_reproduces_plan(self):
+        first = protocol.insert_decoys(6, 5, np.random.default_rng(42))
+        second = protocol.insert_decoys(6, 5, np.random.default_rng(42))
+        assert first == second
+
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             protocol.insert_decoys(-1, 2, np.random.default_rng(0))
@@ -71,6 +76,15 @@ class TestDecoyVerification:
         # the decoy arrives in the orthogonal state of its preparation basis
         arrived = [qcore.eigenstate(decoys[0].basis, decoys[0].value ^ 1)]
         assert protocol.verify_decoys(decoys, arrived, rng) == 1
+
+    def test_error_count_counts_each_flipped_decoy(self):
+        rng = np.random.default_rng(8)
+        decoys = protocol.insert_decoys(3, 8, rng)
+        arrived = decoy_states(decoys)
+        flipped = (0, 2, 5)
+        for i in flipped:
+            arrived[i] = qcore.eigenstate(decoys[i].basis, decoys[i].value ^ 1)
+        assert protocol.verify_decoys(decoys, arrived, rng) == len(flipped)
 
     def test_no_decoys_passes(self):
         assert protocol.verify_decoys([], [], np.random.default_rng(0)) == 0
@@ -104,6 +118,30 @@ class TestEncodeKey:
         _, pairs = protocol.prepare_epr_sequence(2, np.random.default_rng(0))
         with pytest.raises(ValueError):
             protocol.encode_key(pairs, [PauliKey(0, 0)])
+
+
+class TestKeyTotal:
+    def test_no_participants_is_the_identity_key(self):
+        assert protocol.key_total([], 1) == PauliKey(0, 0)
+
+    def test_positions_are_one_based(self):
+        keys = [
+            ParticipantKey(1, [PauliKey(1, 0), PauliKey(0, 0), PauliKey(1, 1)]),
+            ParticipantKey(2, [PauliKey(1, 1), PauliKey(0, 1), PauliKey(1, 1)]),
+        ]
+        totals = [protocol.key_total(keys, position) for position in (1, 2, 3)]
+        assert totals == [PauliKey(0, 1), PauliKey(0, 1), PauliKey(0, 0)]
+
+    def test_participant_order_does_not_matter(self):
+        rng = np.random.default_rng(18)
+        keys = []
+        for owner in range(1, 5):
+            bits = rng.integers(0, 2, size=(6, 2))
+            keys.append(ParticipantKey(owner, [PauliKey(int(u), int(v)) for u, v in bits]))
+        for position in range(1, 7):
+            assert protocol.key_total(keys, position) == protocol.key_total(
+                keys[::-1], position
+            )
 
 
 class TestExtractSecret:
@@ -300,6 +338,25 @@ class TestRunDistribution:
         assert first.readout == second.readout
         assert first.extracted_secret == second.extracted_secret
         assert first.attacker_secret == second.attacker_secret
+
+    @pytest.mark.parametrize("attack", ["none", "intercept_resend"])
+    def test_composites_only_under_collusion(self, attack):
+        config = ScenarioConfig(n=3, m=4, d=2, attack=attack, trials=1, seed=12)
+        for run in (protocol.run_distribution, protocol.run_distribution_dense):
+            assert run(config, np.random.default_rng(12)).recovered_composites is None
+
+    @pytest.mark.parametrize("attack", ATTACK_KINDS)
+    def test_engines_agree_on_one_run(self, attack):
+        """Same generator state in, equal transcript and generator state out."""
+        config = ScenarioConfig(
+            n=4, m=5, d=3, attack=attack, check="improved", trials=1, seed=13
+        )
+        label_rng = np.random.default_rng(13)
+        dense_rng = np.random.default_rng(13)
+        fast = protocol.run_distribution(config, label_rng)
+        dense = protocol.run_distribution_dense(config, dense_rng)
+        assert fast == dense
+        assert label_rng.bit_generator.state == dense_rng.bit_generator.state
 
     def test_invalid_config_rejected(self):
         config = ScenarioConfig(n=1)
