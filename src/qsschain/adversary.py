@@ -36,7 +36,7 @@ from typing import Sequence
 import numpy as np
 
 from . import qcore
-from .protocol import RETAINED_QUBIT, TRAVELING_QUBIT, DecoyRecord
+from .protocol import TRAVELING_QUBIT, DecoyRecord
 from .qcore import Basis, BellLabel, PauliKey, PureState
 
 PROBE_LABEL = BellLabel(1, 1)
@@ -60,7 +60,7 @@ def read_probes(probes: Sequence[PureState], rng: np.random.Generator) -> list[P
     """
     composites = []
     for probe in probes:
-        label, _ = qcore.bell_measure(probe, RETAINED_QUBIT, TRAVELING_QUBIT, rng)
+        label, _ = qcore.bell_measure(probe, rng)
         composites.append(recover_composite(label))
     return composites
 

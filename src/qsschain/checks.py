@@ -15,10 +15,8 @@ import numpy as np
 
 from . import adversary, harness, labels, protocol, qcore
 from .config import ATTACK_KINDS, CHECK_KINDS, ScenarioConfig
-from .qcore import Basis, BellLabel, PauliKey
-
-ALL_LABELS = tuple(BellLabel(x, y) for x in (0, 1) for y in (0, 1))
-ALL_KEYS = tuple(PauliKey(u, v) for u in (0, 1) for v in (0, 1))
+from .labels import KEYS
+from .qcore import BELL_LABELS, Basis, BellLabel
 
 
 @dataclass
@@ -33,21 +31,21 @@ class CheckResult:
 
 
 def pauli_bell_label_table() -> CheckResult:
-    """16 cases: every key on every Bell label, state vs label bookkeeping."""
+    """16 cases: every key on every Bell label, state vs the label engine's rule."""
     failures = []
-    for label, key in itertools.product(ALL_LABELS, ALL_KEYS):
-        shifted = qcore.apply_pauli(qcore.bell_state(label), 1, key)
-        predicted = qcore.pauli_shift_label(label, key)
+    for pair, key in itertools.product(range(4), range(4)):
+        label, predicted = BELL_LABELS[pair], BELL_LABELS[labels.pauli(pair, key)]
+        shifted = qcore.apply_pauli(qcore.bell_state(label), 1, KEYS[key])
         if not qcore.equal_up_to_phase(shifted, qcore.bell_state(predicted)):
-            failures.append(f"label {tuple(label)} key {tuple(key)}: not {tuple(predicted)}")
+            failures.append(f"label {tuple(label)} key {tuple(KEYS[key])}: not {tuple(predicted)}")
     return CheckResult("pauli/bell label table", 16, failures)
 
 
 def composition_law_table() -> CheckResult:
     """64 cases: composing two keys equals the XOR key on every Bell input."""
     failures = []
-    for key1, key2 in itertools.product(ALL_KEYS, ALL_KEYS):
-        for label in ALL_LABELS:
+    for key1, key2 in itertools.product(KEYS, KEYS):
+        for label in BELL_LABELS:
             sequential = qcore.apply_pauli(
                 qcore.apply_pauli(qcore.bell_state(label), 1, key1), 1, key2
             )
@@ -74,7 +72,7 @@ def _joint_parity_distribution(state: qcore.PureState, basis: Basis) -> dict[int
 def parity_rule_table() -> CheckResult:
     """32 cases: deduced parity vs brute-force both-qubit statistics."""
     failures = []
-    for label, total, basis in itertools.product(ALL_LABELS, ALL_KEYS, (Basis.Z, Basis.X)):
+    for label, total, basis in itertools.product(BELL_LABELS, KEYS, (Basis.Z, Basis.X)):
         state = qcore.apply_pauli(qcore.bell_state(label), 1, total)
         dist = _joint_parity_distribution(state, basis)
         rule = protocol.deduce_parity(label, total, basis)
@@ -121,19 +119,19 @@ def collusion_exactness() -> CheckResult:
     hops are genuine, so no check has anything to fire on.
     """
     failures = []
-    for composite in ALL_KEYS:
+    for composite in KEYS:
         probe = qcore.apply_pauli(qcore.bell_state(adversary.PROBE_LABEL), 1, composite)
-        outcome_probs = qcore.bell_probabilities(probe, 0, 1)
+        outcome_probs = qcore.bell_probabilities(probe)
         certain = [lab for lab, p in outcome_probs.items() if p > 1.0 - 1e-12]
         if len(certain) != 1:
             failures.append(f"probe outcome not certain for composite {tuple(composite)}")
         elif adversary.recover_composite(certain[0]) != composite:
             failures.append(f"composite {tuple(composite)} not recovered from {tuple(certain[0])}")
-        for boundary, prepared in itertools.product(ALL_KEYS, ALL_LABELS):
+        for boundary, prepared in itertools.product(KEYS, BELL_LABELS):
             total = composite ^ boundary
             shifted = qcore.apply_pauli(qcore.bell_state(prepared), 1, total)
-            probs = qcore.bell_probabilities(shifted, 0, 1)
-            if not probs[qcore.pauli_shift_label(prepared, total)] > 1.0 - 1e-12:
+            probs = qcore.bell_probabilities(shifted)
+            if not probs[BellLabel(prepared.x ^ total.u, prepared.y ^ total.v)] > 1.0 - 1e-12:
                 failures.append(f"readout not certain for {tuple(prepared)} under {tuple(total)}")
     return CheckResult("collusion exactness", 68, failures)
 
@@ -157,7 +155,7 @@ def _qubit_state(qubit: int) -> qcore.PureState:
 
 def _pair_state(pair: int) -> qcore.PureState:
     if pair < 4:
-        return qcore.bell_state(qcore.BELL_LABELS[pair])
+        return qcore.bell_state(BELL_LABELS[pair])
     retained, traveling = divmod(pair - 4, 4)
     amplitudes = np.kron(_qubit_state(retained).amplitudes, _qubit_state(traveling).amplitudes)
     return qcore.PureState(2, amplitudes)
@@ -205,7 +203,7 @@ def label_rule_table() -> CheckResult:
     pairs = range(20)
     for pair, key in itertools.product(pairs, range(4)):
         cases += 1
-        dense = qcore.apply_pauli(_pair_state(pair), 1, labels.KEYS[key])
+        dense = qcore.apply_pauli(_pair_state(pair), 1, KEYS[key])
         if not qcore.equal_up_to_phase(dense, _pair_state(labels.pauli(pair, key)), _RULE_TOL):
             failures.append(f"pauli: pair {pair} key {key} is not pair {labels.pauli(pair, key)}")
     for pair, qubit, basis in itertools.product(pairs, (0, 1), (labels.Z, labels.X)):
@@ -225,14 +223,14 @@ def label_rule_table() -> CheckResult:
     for pair in pairs:
         cases += 1
         weights = [q / 4 for q in labels.bell_quarters(pair)]
-        dense = qcore.bell_probabilities(_pair_state(pair), 0, 1)
-        if max(abs(w - dense[label]) for w, label in zip(weights, qcore.BELL_LABELS)) > _RULE_TOL:
+        dense = qcore.bell_probabilities(_pair_state(pair))
+        if max(abs(w - dense[label]) for w, label in zip(weights, BELL_LABELS)) > _RULE_TOL:
             failures.append(f"bell: pair {pair} probabilities {weights} differ from state vector")
             continue
         for expected, first, last in _intervals(weights):
-            label, _ = qcore.bell_measure(_pair_state(pair), 0, 1, _FixedDraw((first + last) / 2))
+            label, _ = qcore.bell_measure(_pair_state(pair), _FixedDraw((first + last) / 2))
             picked = {labels.bell_outcome(pair, first), labels.bell_outcome(pair, last)}
-            if picked != {expected} or label != qcore.BELL_LABELS[expected]:
+            if picked != {expected} or label != BELL_LABELS[expected]:
                 failures.append(f"bell: pair {pair} draws in [{first}, {last}] do not all pick {expected}")
     return CheckResult("label engine rules", cases, failures)
 

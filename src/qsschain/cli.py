@@ -131,11 +131,10 @@ def _parse_axis_values(axis: str, raw: str) -> list:
 def cmd_sweep(args: argparse.Namespace) -> int:
     base = _resolve_config(args)
     values = _parse_axis_values(args.axis, args.values)
-    reports = []
-    for value in values:
-        config = base.replace(**{args.axis: value})
+    configs = [base.replace(**{args.axis: value}) for value in values]
+    for config in configs:  # reject a bad value before any row runs
         config.validate()
-        reports.append(harness.run_trials(config, threads=args.threads))
+    reports = [harness.run_trials(config, threads=args.threads) for config in configs]
     harness.write_csv(reports, args.out)
     for value, report in zip(values, reports):
         print(f"{args.axis}={value} {_summary_line(report)}")

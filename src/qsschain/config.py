@@ -49,6 +49,9 @@ class ScenarioConfig:
 
     def validate(self) -> None:
         """Raise ConfigError naming the offending field if any value is invalid."""
+        for name in ("n", "m", "d", "check_fraction", "trials", "seed"):
+            if isinstance(getattr(self, name), bool):  # bool is an int subclass
+                raise ConfigError(name, f"must be a number, got {getattr(self, name)!r}")
         if not isinstance(self.n, int) or self.n < 2:
             raise ConfigError("n", f"participants must be an integer >= 2, got {self.n!r}")
         if not isinstance(self.m, int) or self.m < 1:

@@ -349,7 +349,7 @@ def run_distribution_dense(config: ScenarioConfig, rng: np.random.Generator) -> 
 
     payload_positions = [p for p in range(1, m + 1) if p not in sampled]
     readout = [
-        qcore.bell_measure(pairs[p - 1], RETAINED_QUBIT, TRAVELING_QUBIT, rng)[0]
+        qcore.bell_measure(pairs[p - 1], rng)[0]
         for p in payload_positions
     ]
     prepared_payload = [prepared[p - 1] for p in payload_positions]

@@ -1,10 +1,10 @@
-"""Exact state-vector engine for small qubit registers.
+"""Exact state-vector engine for the protocol's two registers.
 
 Everything in the protocol reduces to a handful of primitives on dense
 complex amplitude vectors: preparing the four Bell states, applying the
 bit/phase Pauli encodings to one qubit, projective single-qubit measurement
-in the Z or X basis, and projective measurement of a qubit pair in the Bell
-basis. Registers stay tiny (at most four qubits), so dense vectors are both
+in the Z or X basis, and projective measurement of a pair in the Bell
+basis. A register is one decoy qubit or one pair, so dense vectors are both
 the simplest and the fastest honest representation.
 
 Conventions, fixed once here and relied on everywhere else:
@@ -21,8 +21,7 @@ Conventions, fixed once here and relied on everywhere else:
 
 * Pauli encodings are keyed by bit pairs (u, v): U_{u,v} = X^u Z^v, with Z
   applied first. Acting on the second qubit of |Psi_{x,y}> this shifts the
-  label to (x^u, y^v) up to a global phase, which is what makes cheap label
-  bookkeeping possible (`pauli_shift_label`).
+  label to (x^u, y^v) up to a global phase.
 * Measurement outcomes are bits: |0>/|1> map to 0/1 in the Z basis and
   |+>/|-> map to 0/1 in the X basis.
 
@@ -91,15 +90,15 @@ BELL_LABELS = (BellLabel(0, 0), BellLabel(0, 1), BellLabel(1, 0), BellLabel(1, 1
 
 @dataclass(frozen=True)
 class PureState:
-    """Normalized pure state of `num_qubits` qubits as a dense amplitude vector."""
+    """Normalized pure state of one qubit or one pair as a dense amplitude vector."""
 
     num_qubits: int
     amplitudes: np.ndarray = field(repr=False)
 
     def __post_init__(self) -> None:
         amps = np.asarray(self.amplitudes, dtype=complex)
-        if self.num_qubits < 1:
-            raise ValueError(f"num_qubits must be >= 1, got {self.num_qubits}")
+        if self.num_qubits not in (1, 2):
+            raise ValueError(f"num_qubits must be 1 or 2, got {self.num_qubits}")
         if amps.shape != (2**self.num_qubits,):
             raise ValueError(
                 f"amplitude vector of length {amps.shape} does not match "
@@ -115,29 +114,15 @@ def _as_front_axis(state: PureState, qubit: int) -> np.ndarray:
     """Amplitudes reshaped to (2, rest) with `qubit` as the leading axis."""
     if not 0 <= qubit < state.num_qubits:
         raise ValueError(f"qubit {qubit} out of range for {state.num_qubits}-qubit state")
-    amps = state.amplitudes
     if qubit == 0:
-        return amps.reshape(2, -1)
-    if state.num_qubits == 2:  # qubit == 1: swap the two axes
-        return amps.reshape(2, 2).T
-    tensor = amps.reshape((2,) * state.num_qubits)
-    return np.moveaxis(tensor, qubit, 0).reshape(2, -1)
+        return state.amplitudes.reshape(2, -1)
+    return state.amplitudes.reshape(2, 2).T  # qubit 1 of a pair: swap the two axes
 
 
-def _from_front_axis(mat: np.ndarray, qubit: int, num_qubits: int) -> np.ndarray:
+def _from_front_axis(mat: np.ndarray, qubit: int) -> np.ndarray:
     if qubit == 0:
         return mat.reshape(-1)
-    if num_qubits == 2:  # undo the axis swap
-        return mat.T.reshape(-1)
-    tensor = mat.reshape((2,) * num_qubits)
-    return np.moveaxis(tensor, 0, qubit).reshape(-1)
-
-
-def basis_state(num_qubits: int, index: int) -> PureState:
-    """Computational basis state |index> on `num_qubits` qubits."""
-    amps = np.zeros(2**num_qubits, dtype=complex)
-    amps[index] = 1.0
-    return PureState(num_qubits, amps)
+    return mat.T.reshape(-1)  # undo the axis swap
 
 
 def eigenstate(basis: Basis, value: int) -> PureState:
@@ -167,21 +152,13 @@ def _build_pauli(u: int, v: int) -> np.ndarray:
 _PAULI_TABLE = {(u, v): _build_pauli(u, v) for u in (0, 1) for v in (0, 1)}
 
 
-def pauli_matrix(key: PauliKey) -> np.ndarray:
-    """2x2 matrix of U_{u,v} = X^u Z^v (Z applied first)."""
-    key = PauliKey(*key)
-    if key.u not in (0, 1) or key.v not in (0, 1):
-        raise ValueError(f"pauli key bits must be 0 or 1, got {key}")
-    return _PAULI_TABLE[key].copy()
-
-
 def apply_pauli(state: PureState, qubit: int, key: PauliKey) -> PureState:
     """Apply U_{u,v} to one qubit of the register; returns the new state."""
     mat = _PAULI_TABLE.get((key[0], key[1]))
     if mat is None:
         raise ValueError(f"pauli key bits must be 0 or 1, got {key}")
     front = _as_front_axis(state, qubit)
-    out = _from_front_axis(mat @ front, qubit, state.num_qubits)
+    out = _from_front_axis(mat @ front, qubit)
     return PureState(state.num_qubits, out)
 
 
@@ -225,50 +202,36 @@ def measure_in_basis(
     if norm <= NORM_TOL:
         raise RuntimeError("sampled a zero-probability branch; state was not normalized")
     post = np.outer(eig[outcome], coeff / norm)
-    return outcome, PureState(state.num_qubits, _from_front_axis(post, qubit, state.num_qubits))
-
-
-def _as_pair_front(state: PureState, qubit1: int, qubit2: int) -> np.ndarray:
-    if qubit1 == qubit2:
-        raise ValueError("bell measurement needs two distinct qubits")
-    for q in (qubit1, qubit2):
-        if not 0 <= q < state.num_qubits:
-            raise ValueError(f"qubit {q} out of range for {state.num_qubits}-qubit state")
-    if state.num_qubits == 2:
-        if (qubit1, qubit2) == (0, 1):
-            return state.amplitudes.reshape(4, 1)
-        return state.amplitudes.reshape(2, 2).T.reshape(4, 1)
-    tensor = state.amplitudes.reshape((2,) * state.num_qubits)
-    tensor = np.moveaxis(tensor, (qubit1, qubit2), (0, 1))
-    return tensor.reshape(4, -1)
+    return outcome, PureState(state.num_qubits, _from_front_axis(post, qubit))
 
 
 # rows: conjugated Bell vectors in BELL_LABELS order, for batched projection
 _BELL_BASIS_CONJ = np.array([_BELL_VECTORS[label].conj() for label in BELL_LABELS])
 
 
-def bell_probabilities(state: PureState, qubit1: int, qubit2: int) -> dict[BellLabel, float]:
-    """Born-rule probabilities of the four Bell outcomes on a qubit pair."""
-    front = _as_pair_front(state, qubit1, qubit2)
-    coeffs = _BELL_BASIS_CONJ @ front
-    probs = (np.abs(coeffs) ** 2).sum(axis=1)
+def _bell_branches(state: PureState) -> tuple[np.ndarray, np.ndarray]:
+    """(4, 1) overlaps of a pair with the Bell states in BELL_LABELS order, and their weights."""
+    if state.num_qubits != 2:
+        raise ValueError(f"bell measurement needs a pair, got a {state.num_qubits}-qubit state")
+    coeffs = _BELL_BASIS_CONJ @ state.amplitudes.reshape(4, 1)
+    return coeffs, (np.abs(coeffs) ** 2).sum(axis=1)
+
+
+def bell_probabilities(state: PureState) -> dict[BellLabel, float]:
+    """Born-rule probabilities of the four Bell outcomes on a pair."""
+    _, probs = _bell_branches(state)
     return {label: float(probs[i]) for i, label in enumerate(BELL_LABELS)}
 
 
-def bell_measure(
-    state: PureState, qubit1: int, qubit2: int, rng: np.random.Generator
-) -> tuple[BellLabel, PureState]:
-    """Projectively measure a qubit pair in the Bell basis.
+def bell_measure(state: PureState, rng: np.random.Generator) -> tuple[BellLabel, PureState]:
+    """Projectively measure a pair in the Bell basis.
 
-    `qubit1` plays the role of the first qubit of the Bell convention.
     One `rng.random()` draw picks the outcome from the cumulative Born
     probabilities; as in `measure_in_basis`, only an outcome whose
     probability exceeds NORM_TOL can be picked.
     Returns the outcome label and the collapsed, renormalized register.
     """
-    front = _as_pair_front(state, qubit1, qubit2)
-    coeffs = _BELL_BASIS_CONJ @ front
-    probs = (np.abs(coeffs) ** 2).sum(axis=1)
+    coeffs, probs = _bell_branches(state)
     draw = rng.random()
     possible = [i for i in range(len(BELL_LABELS)) if probs[i] > NORM_TOL]
     outcome = possible[-1]
@@ -284,22 +247,7 @@ def bell_measure(
     if norm <= NORM_TOL:
         raise RuntimeError("sampled a zero-probability Bell branch")
     post = np.outer(_BELL_VECTORS[label], coeff / norm)
-    if state.num_qubits == 2 and (qubit1, qubit2) == (0, 1):
-        return label, PureState(2, post.reshape(-1))
-    tensor = post.reshape((2, 2) + (2,) * (state.num_qubits - 2))
-    tensor = np.moveaxis(tensor, (0, 1), (qubit1, qubit2))
-    return label, PureState(state.num_qubits, tensor.reshape(-1))
-
-
-def pauli_shift_label(label: BellLabel, key: PauliKey) -> BellLabel:
-    """Label after U_{u,v} acts on the second qubit of |Psi_{x,y}>.
-
-    Fast path for the protocol's bookkeeping: (x, y) -> (x^u, y^v), exactly
-    the state-vector result up to a global phase.
-    """
-    label = BellLabel(*label)
-    key = PauliKey(*key)
-    return BellLabel(label.x ^ key.u, label.y ^ key.v)
+    return label, PureState(2, post.reshape(-1))
 
 
 def equal_up_to_phase(a: PureState, b: PureState, tol: float = 1e-9) -> bool:

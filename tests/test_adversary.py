@@ -23,7 +23,7 @@ class TestCollusionPieces:
     def test_recover_composite_against_state_vectors(self, composite):
         """Encode a known composite on a probe half, Bell-measure, recover."""
         probe = qcore.apply_pauli(qcore.bell_state(BellLabel(1, 1)), 1, composite)
-        probs = qcore.bell_probabilities(probe, 0, 1)
+        probs = qcore.bell_probabilities(probe)
         outcome = max(probs, key=probs.get)
         assert probs[outcome] == pytest.approx(1.0, abs=1e-9)
         assert adversary.recover_composite(outcome) == composite

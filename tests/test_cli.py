@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from qsschain import cli, labels, protocol
+from qsschain import checks, cli, harness, labels, protocol
 
 
 def run_cli(*argv):
@@ -150,8 +150,6 @@ class TestSweep:
         assert code == 0
         stdout = capsys.readouterr().out
         assert [f"d={v}" in stdout for v in (1, 2, 4, 8)] == [True] * 4
-        from qsschain import harness
-
         reports = harness.read_csv(out)
         assert [r.config.d for r in reports] == [1, 2, 4, 8]
         exacts = [r.exact_detection for r in reports]
@@ -166,8 +164,6 @@ class TestSweep:
             "sweep", "--axis", "n", "--values", "2,3,4", "--attack", "collusion",
             "--m", "4", "--d", "2", "--trials", "25", "--seed", "32", "--out", str(out),
         ) == 0
-        from qsschain import harness
-
         reports = harness.read_csv(out)
         assert [r.config.n for r in reports] == [2, 3, 4]
         for report in reports:
@@ -203,6 +199,19 @@ class TestSweep:
         assert code == 2
         assert "participants" in capsys.readouterr().err
 
+    def test_bad_later_value_runs_no_row(self, tmp_path, capsys, monkeypatch):
+        """Every swept config is checked before the first trial runs."""
+        calls = []
+        monkeypatch.setattr(harness, "run_trials", lambda *a, **k: calls.append(a))
+        out = tmp_path / "x.csv"
+        code = run_cli(
+            "sweep", "--axis", "trials", "--values", "5,0", "--trials", "5", "--out", str(out),
+        )
+        assert code == 2
+        assert capsys.readouterr().err.startswith("configuration error: trials:")
+        assert calls == []
+        assert not out.exists()
+
 
 class TestVerify:
     def test_all_suites_pass(self, capsys):
@@ -218,8 +227,10 @@ class TestVerify:
         assert " 32 cases" in out
         assert " 64 cases" in out
         assert " 60 runs" in out
+        assert "10080 runs  ok" in out
 
     def test_broken_parity_rule_is_reported(self, capsys, monkeypatch):
+        monkeypatch.setattr(checks, "DIFFERENTIAL_TRIALS", 1)
         true_rule = protocol.deduce_parity
 
         def inverted(prepared, total_published, basis):
@@ -235,8 +246,8 @@ class TestVerify:
         )
         assert "FAIL" in failed_line
 
-
     def test_broken_label_rule_is_reported(self, capsys, monkeypatch):
+        monkeypatch.setattr(checks, "DIFFERENTIAL_TRIALS", 1)
         true_rule = labels.pauli
 
         def ignores_products(pair, key):

@@ -13,13 +13,6 @@ def test_every_rule_matches_the_dense_engine():
     assert result.failures == []
 
 
-def test_differential_replay_of_ten_thousand_trials():
-    """Both engines give equal transcripts and leave the generator in the same state."""
-    result = checks.differential_sweep()
-    assert result.cases >= 10_000
-    assert result.failures == []
-
-
 @pytest.mark.parametrize("attack", ATTACK_KINDS)
 @pytest.mark.parametrize("check", CHECK_KINDS)
 def test_default_run_builds_no_state_vector(attack, check, monkeypatch):

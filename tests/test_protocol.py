@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from qsschain import protocol, qcore
-from qsschain.config import ATTACK_KINDS, ScenarioConfig
+from qsschain.config import ATTACK_KINDS, ConfigError, ScenarioConfig
 from qsschain.protocol import ParticipantKey, TRAVELING_QUBIT
 from qsschain.qcore import Basis, BellLabel, PauliKey
 
@@ -161,7 +161,7 @@ class TestExtractSecret:
             total = protocol.key_total(
                 [ParticipantKey(owner, [key]) for owner, key in enumerate(keys, 1)], 1
             )
-            readout = qcore.pauli_shift_label(prepared, total)
+            readout = BellLabel(prepared.x ^ total.u, prepared.y ^ total.v)
             assert protocol.extract_secret([prepared], [readout]) == [total.u, total.v]
 
     def test_length_mismatch(self):
@@ -358,7 +358,20 @@ class TestRunDistribution:
         assert fast == dense
         assert label_rng.bit_generator.state == dense_rng.bit_generator.state
 
-    def test_invalid_config_rejected(self):
-        config = ScenarioConfig(n=1)
-        with pytest.raises(ValueError):
+    @pytest.mark.parametrize(
+        "changes,field",
+        [
+            ({"n": 1}, "n"),
+            ({"n": True}, "n"),
+            ({"m": True}, "m"),
+            ({"d": False}, "d"),
+            ({"trials": True}, "trials"),
+            ({"seed": True}, "seed"),
+            ({"check_fraction": True}, "check_fraction"),
+        ],
+    )
+    def test_invalid_config_rejected(self, changes, field):
+        config = ScenarioConfig(trials=3).replace(**changes)
+        with pytest.raises(ConfigError) as caught:
             protocol.run_distribution(config, np.random.default_rng(0))
+        assert caught.value.field == field

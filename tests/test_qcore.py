@@ -10,7 +10,7 @@ import math
 import numpy as np
 import pytest
 
-from qsschain import qcore
+from qsschain import labels, qcore
 from qsschain.qcore import Basis, BellLabel, PauliKey, PureState
 
 SQ2 = 1 / math.sqrt(2)
@@ -70,15 +70,16 @@ class TestPureState:
         with pytest.raises(ValueError):
             PureState(2, np.array([1.0, 0.0]))
 
+    def test_three_qubits_rejected(self):
+        """A register is one decoy qubit or one pair, nothing larger."""
+        amps = np.zeros(8, dtype=complex)
+        amps[0] = 1.0
+        with pytest.raises(ValueError):
+            PureState(3, amps)
+
 
 class TestPauliEncoding:
     """U_{u,v} = X^u Z^v with Z applied first."""
-
-    def test_matrix_table(self):
-        np.testing.assert_allclose(qcore.pauli_matrix(PauliKey(0, 0)), I2)
-        np.testing.assert_allclose(qcore.pauli_matrix(PauliKey(0, 1)), Z)
-        np.testing.assert_allclose(qcore.pauli_matrix(PauliKey(1, 0)), X)
-        np.testing.assert_allclose(qcore.pauli_matrix(PauliKey(1, 1)), X @ Z)
 
     def test_identity_key_leaves_state(self):
         state = qcore.bell_state(BellLabel(1, 0))
@@ -123,18 +124,23 @@ class TestPauliEncoding:
             qcore.apply_pauli(qcore.bell_state(BellLabel(0, 0)), 1, PauliKey(2, 0))
 
 
+def code(bits):
+    """Label-engine code 2a + b of a Bell label (a, b) or a Pauli key (a, b)."""
+    return 2 * bits[0] + bits[1]
+
+
 class TestLabelShift:
-    """pauli_shift_label is the XOR rule, certified against the state engine."""
+    """The label engine's Pauli rule on Bell codes is the XOR rule of the state engine."""
 
     def test_frozen_examples(self):
-        assert qcore.pauli_shift_label(BellLabel(0, 0), PauliKey(1, 0)) == BellLabel(1, 0)
-        assert qcore.pauli_shift_label(BellLabel(1, 0), PauliKey(1, 1)) == BellLabel(0, 1)
+        assert labels.pauli(code(BellLabel(0, 0)), code(PauliKey(1, 0))) == code(BellLabel(1, 0))
+        assert labels.pauli(code(BellLabel(1, 0)), code(PauliKey(1, 1))) == code(BellLabel(0, 1))
 
     @pytest.mark.parametrize("label", ALL_LABELS)
     @pytest.mark.parametrize("key", ALL_KEYS)
     def test_all_16_cases_match_state_vectors(self, label, key):
         shifted_state = qcore.apply_pauli(qcore.bell_state(label), 1, key)
-        predicted = qcore.pauli_shift_label(label, key)
+        predicted = qcore.BELL_LABELS[labels.pauli(code(label), code(key))]
         assert qcore.equal_up_to_phase(shifted_state, qcore.bell_state(predicted), tol=1e-9)
 
     @pytest.mark.parametrize("key1", ALL_KEYS)
@@ -148,8 +154,8 @@ class TestLabelShift:
             )
             direct = qcore.apply_pauli(qcore.bell_state(label), 1, combined)
             assert qcore.equal_up_to_phase(sequential, direct, tol=1e-9)
-            assert qcore.pauli_shift_label(qcore.pauli_shift_label(label, key1), key2) == (
-                qcore.pauli_shift_label(label, combined)
+            assert labels.pauli(labels.pauli(code(label), code(key1)), code(key2)) == (
+                labels.pauli(code(label), code(combined))
             )
 
 
@@ -214,18 +220,16 @@ class TestMeasurement:
 class TestBellMeasure:
     @pytest.mark.parametrize("label", ALL_LABELS)
     def test_eigenstate_is_deterministic(self, label):
-        probs = qcore.bell_probabilities(qcore.bell_state(label), 0, 1)
+        probs = qcore.bell_probabilities(qcore.bell_state(label))
         assert probs[label] == pytest.approx(1.0, abs=1e-12)
         for seed in range(5):
-            outcome, post = qcore.bell_measure(
-                qcore.bell_state(label), 0, 1, np.random.default_rng(seed)
-            )
+            outcome, post = qcore.bell_measure(qcore.bell_state(label), np.random.default_rng(seed))
             assert outcome == label
             assert qcore.equal_up_to_phase(post, qcore.bell_state(label))
 
     def test_product_00_frozen_probabilities(self):
         """|00> overlaps only the two parity-0 Bell states, each with 1/2."""
-        probs = qcore.bell_probabilities(qcore.basis_state(2, 0), 0, 1)
+        probs = qcore.bell_probabilities(PureState(2, np.array([1, 0, 0, 0])))
         assert probs[BellLabel(0, 0)] == pytest.approx(0.5, abs=1e-12)
         assert probs[BellLabel(0, 1)] == pytest.approx(0.5, abs=1e-12)
         assert probs[BellLabel(1, 0)] == pytest.approx(0.0, abs=1e-12)
@@ -238,19 +242,23 @@ class TestBellMeasure:
 
     def test_product_00_sampling(self):
         rng = np.random.default_rng(5)
-        outcomes = [qcore.bell_measure(qcore.basis_state(2, 0), 0, 1, rng)[0] for _ in range(2000)]
+        product_00 = PureState(2, np.array([1, 0, 0, 0]))
+        outcomes = [qcore.bell_measure(product_00, rng)[0] for _ in range(2000)]
         assert set(outcomes) == {BellLabel(0, 0), BellLabel(0, 1)}
         frac = sum(1 for o in outcomes if o == BellLabel(0, 0)) / len(outcomes)
         assert abs(frac - 0.5) < 3 * math.sqrt(0.25 / 2000)
 
     def test_post_state_is_the_bell_state(self):
         rng = np.random.default_rng(9)
-        outcome, post = qcore.bell_measure(qcore.basis_state(2, 3), 0, 1, rng)
+        outcome, post = qcore.bell_measure(PureState(2, np.array([0, 0, 0, 1])), rng)
         assert qcore.equal_up_to_phase(post, qcore.bell_state(outcome))
 
-    def test_distinct_qubits_required(self):
-        with pytest.raises(ValueError):
-            qcore.bell_measure(qcore.bell_state(BellLabel(0, 0)), 1, 1, np.random.default_rng(0))
+    def test_single_qubit_register_rejected(self):
+        decoy = qcore.eigenstate(Basis.Z, 0)
+        with pytest.raises(ValueError, match="needs a pair"):
+            qcore.bell_measure(decoy, np.random.default_rng(0))
+        with pytest.raises(ValueError, match="needs a pair"):
+            qcore.bell_probabilities(decoy)
 
 
 class FixedDraw:
@@ -274,7 +282,7 @@ class TestCertainOutcomesAtEdgeDraws:
     @pytest.mark.parametrize("u", EDGE_DRAWS)
     @pytest.mark.parametrize("label", ALL_LABELS)
     def test_bell_measure_of_a_bell_state(self, label, u):
-        outcome, post = qcore.bell_measure(qcore.bell_state(label), 0, 1, FixedDraw(u))
+        outcome, post = qcore.bell_measure(qcore.bell_state(label), FixedDraw(u))
         assert outcome == label
         assert qcore.equal_up_to_phase(post, qcore.bell_state(label))
 
