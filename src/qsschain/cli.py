@@ -41,7 +41,10 @@ def _add_scenario_arguments(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument("--trials", type=int, help="Monte Carlo repetitions")
     parser.add_argument("--seed", type=int, help="master seed (overrides file and environment)")
-    parser.add_argument("--threads", type=int, default=1, help="worker threads (default 1)")
+    parser.add_argument(
+        "--threads", type=int, default=1,
+        help="accepted for compatibility, no effect: trials run in one thread",
+    )
 
 
 def _load_scenario_file(path: str) -> dict:

@@ -2,9 +2,8 @@
 
 Every trial draws its randomness from an independent generator derived by
 mixing the master seed with the trial index through numpy's SeedSequence
-spawn mechanism. The derivation depends only on (seed, index), never on
-scheduling, and the aggregates are integer counts, so a batch produces the
-same report at any thread count.
+spawn mechanism. The derivation depends only on (seed, index), and the
+trials of a batch run one after another in the calling thread.
 """
 
 from __future__ import annotations
@@ -17,7 +16,6 @@ import math
 import os
 import time
 from fractions import Fraction
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
@@ -137,50 +135,28 @@ def _binomial_ci(successes: int, trials: int) -> tuple[float, float, float]:
 def run_trials(config: ScenarioConfig, threads: int = 1) -> RunReport:
     """Run the configured number of seeded trials and aggregate the outcomes.
 
-    Thread count affects wall time only: per-trial streams come from
-    `trial_generator` and the aggregates are order-independent counts.
+    Trials run serially in the calling thread, each on its own stream from
+    `trial_generator`. `threads` must be an integer >= 1 and has no effect;
+    it is accepted so existing callers keep working.
     """
     config.validate()
-    if threads < 1:
-        raise ConfigError("threads", f"must be >= 1, got {threads}")
+    if isinstance(threads, bool) or not isinstance(threads, int) or threads < 1:
+        raise ConfigError("threads", f"must be an integer >= 1, got {threads!r}")
     started = time.perf_counter()
-
-    def one_trial(index: int) -> tuple[int, int, int, int, int, int, int]:
-        rng = trial_generator(config.seed, index)
-        transcript = protocol.run_distribution(config, rng)
-        detected = int(transcript.detected)
-        undetected_collusion = recovered = 0
+    detected = undetected_collusion = recovered = 0
+    attacked_errors = attacked_decoys = all_errors = all_decoys = 0
+    for index in range(config.trials):
+        transcript = protocol.run_distribution(config, trial_generator(config.seed, index))
+        detected += transcript.detected
         if config.attack == "collusion" and not transcript.detected:
-            undetected_collusion = 1
-            recovered = int(transcript.attacker_secret == transcript.extracted_secret)
-        attacked_errors = attacked_decoys = all_errors = all_decoys = 0
+            undetected_collusion += 1
+            recovered += transcript.attacker_secret == transcript.extracted_secret
         for check in transcript.decoy_checks:
             all_errors += check.error_count
             all_decoys += check.decoy_count
             if check.attacked:
                 attacked_errors += check.error_count
                 attacked_decoys += check.decoy_count
-        return (
-            detected,
-            undetected_collusion,
-            recovered,
-            attacked_errors,
-            attacked_decoys,
-            all_errors,
-            all_decoys,
-        )
-
-    if threads == 1:
-        outcomes = [one_trial(i) for i in range(config.trials)]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            outcomes = list(pool.map(one_trial, range(config.trials)))
-    totals = [0] * 7
-    for outcome in outcomes:
-        for i, value in enumerate(outcome):
-            totals[i] += value
-    detected, undetected_collusion, recovered = totals[0], totals[1], totals[2]
-    attacked_errors, attacked_decoys, all_errors, all_decoys = totals[3:]
 
     detection_rate, ci_low, ci_high = _binomial_ci(detected, config.trials)
     if attacked_decoys > 0:

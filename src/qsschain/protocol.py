@@ -28,7 +28,9 @@ A run has two engines that give the same transcript from the same
 generator state: `run_distribution` runs the closed-form label engine
 (`labels.run`), and `run_distribution_dense` runs the dense state-vector
 reference it is certified against. Both play the attack of
-`config.attack` inline (see `adversary`).
+`config.attack` inline. The dense engine's attack steps, `read_probes` and
+`intercept_resend`, live here beside the honest steps they run with;
+`adversary` describes both attacks and holds the collusion's probe rule.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from . import qcore
+from . import adversary, qcore
 from .config import ScenarioConfig
 from .qcore import Basis, BellLabel, PauliKey, PureState
 
@@ -128,8 +130,6 @@ def prepare_epr_sequence(
     Entry i is the pair at position i + 1. Its retained particle is qubit 0
     of the pair state and its traveling particle qubit 1.
     """
-    if m < 1:
-        raise ValueError(f"pair count must be >= 1, got {m}")
     bits = rng.integers(0, 2, size=(m, 2))
     prepared = [BellLabel(int(x), int(y)) for x, y in bits]
     return prepared, [qcore.bell_state(label) for label in prepared]
@@ -143,8 +143,6 @@ def insert_decoys(seq_len: int, d: int, rng: np.random.Generator) -> list[DecoyR
     order. Each decoy is prepared uniformly over the four eigenstates
     {|0>, |1>, |+>, |->}.
     """
-    if seq_len < 0 or d < 0:
-        raise ValueError(f"lengths must be non-negative, got seq_len={seq_len}, d={d}")
     if d == 0:
         return []
     positions = sorted(int(p) for p in rng.choice(seq_len + d, size=d, replace=False))
@@ -234,19 +232,7 @@ def improved_check(
     position matched.
     """
     m = len(pairs)
-    if m == 0:
-        raise ValueError("cannot sample from an empty pair sequence")
-    if not 0.0 < fraction <= 1.0:
-        raise ValueError(f"sampled fraction must lie in (0, 1], got {fraction}")
     sample_size = math.ceil(fraction * m)
-    if sample_size > m:
-        raise ValueError(f"cannot sample {sample_size} of {m} pairs")
-    for participant in announcements:
-        if len(participant.keys) != m:
-            raise ValueError(
-                f"participant {participant.owner} announced {len(participant.keys)} "
-                f"keys for {m} pairs"
-            )
     chosen = sorted(int(i) for i in rng.choice(m, size=sample_size, replace=False))
     entries = []
     for idx in chosen:
@@ -256,9 +242,7 @@ def improved_check(
         announced = [
             (announcements[j].owner, announcements[j].keys[idx]) for j in order
         ]
-        total = PauliKey(0, 0)
-        for _, key in announced:
-            total = total ^ key
+        total = key_total(announcements, idx + 1)
         y_outcome, pairs[idx] = qcore.measure_in_basis(pairs[idx], TRAVELING_QUBIT, basis, rng)
         deduced = deduce_parity(prepared[idx], total, basis)
         entries.append(
@@ -274,6 +258,47 @@ def improved_check(
             )
         )
     return ImprovedCheckRecord(entries, passed=all(e.matched for e in entries))
+
+
+def read_probes(probes: Sequence[PureState], rng: np.random.Generator) -> list[PauliKey]:
+    """Bell-measure every collusion probe pair and return the recovered composites.
+
+    The last colluder does this once the probe halves have passed every
+    middle participant, so each probe carries the XOR of all middle keys.
+    """
+    composites = []
+    for probe in probes:
+        label, _ = qcore.bell_measure(probe, rng)
+        composites.append(adversary.recover_composite(label))
+    return composites
+
+
+def intercept_resend(
+    decoys: Sequence[DecoyRecord],
+    decoy_states: list[PureState],
+    pairs: list[PureState],
+    rng: np.random.Generator,
+) -> None:
+    """Measure every particle of one hop, in slot order, in a random Z/X basis.
+
+    The hop's decoys sit at their insert positions and the traveling qubits
+    of `pairs` fill the other slots in order. Each post-measurement state
+    replaces its entry in `decoy_states` or `pairs`: the eigenstate left
+    behind is what a resent particle would carry, so collapsing in place
+    models the attack exactly.
+    """
+    decoy_at = {rec.insert_position: i for i, rec in enumerate(decoys)}
+    pair_index = 0
+    for slot in range(len(decoys) + len(pairs)):
+        basis = Basis.Z if rng.integers(2) == 0 else Basis.X
+        if slot in decoy_at:
+            i = decoy_at[slot]
+            _, decoy_states[i] = qcore.measure_in_basis(decoy_states[i], 0, basis, rng)
+        else:
+            _, pairs[pair_index] = qcore.measure_in_basis(
+                pairs[pair_index], TRAVELING_QUBIT, basis, rng
+            )
+            pair_index += 1
 
 
 def run_distribution(config: ScenarioConfig, rng: np.random.Generator) -> Transcript:
@@ -301,8 +326,6 @@ def run_distribution_dense(config: ScenarioConfig, rng: np.random.Generator) -> 
     order, so a fixed generator state reproduces the run bit for bit.
     """
     config.validate()
-    from . import adversary  # deferred: adversary builds on this module
-
     n, m, d = config.n, config.m, config.d
     prepared, pairs = prepare_epr_sequence(m, rng)
     keys = []
@@ -317,7 +340,7 @@ def run_distribution_dense(config: ScenarioConfig, rng: np.random.Generator) -> 
         decoys = insert_decoys(len(travelers), d, rng)
         arrived = [qcore.eigenstate(rec.basis, rec.value) for rec in decoys]
         if hop == eve_hop:
-            adversary.intercept_resend(decoys, arrived, travelers, rng)
+            intercept_resend(decoys, arrived, travelers, rng)
         errors = verify_decoys(decoys, arrived, rng)
         decoy_checks.append(DecoyCheckResult(hop, errors, d, errors == 0, hop == eve_hop))
 
@@ -331,7 +354,7 @@ def run_distribution_dense(config: ScenarioConfig, rng: np.random.Generator) -> 
             pairs = encode_key(pairs, keys[0].keys)
             ship(1, probes)
         elif collusion and k == n:
-            composites = adversary.read_probes(probes, rng)
+            composites = read_probes(probes, rng)
             pairs = encode_key(pairs, [own ^ c for own, c in zip(keys[n - 1].keys, composites)])
             ship(n, pairs)
         elif collusion:

@@ -1,6 +1,10 @@
 """Attack tests: collusion invisibility and recovery, intercept-resend disturbance."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +14,21 @@ from qsschain.config import ScenarioConfig
 from qsschain.qcore import Basis, BellLabel, PauliKey
 
 ALL_KEYS = [PauliKey(u, v) for u in (0, 1) for v in (0, 1)]
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def test_adversary_does_not_load_protocol():
+    """The attack rules sit below the protocol: importing them loads no run code."""
+    probe = (
+        "import sys, qsschain.adversary\n"
+        "print(sorted(name for name in sys.modules if name.startswith('qsschain')))"
+    )
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    done = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert "qsschain.protocol" not in done.stdout
+    assert "qsschain.adversary" in done.stdout
 
 
 class TestCollusionPieces:
@@ -30,13 +49,13 @@ class TestCollusionPieces:
 
     def test_untouched_probes_read_zero_composite(self):
         probes = [qcore.bell_state(adversary.PROBE_LABEL)] * 4
-        assert adversary.read_probes(probes, np.random.default_rng(3)) == [PauliKey(0, 0)] * 4
+        assert protocol.read_probes(probes, np.random.default_rng(3)) == [PauliKey(0, 0)] * 4
 
     def test_probe_halves_accumulate_middle_keys(self):
         middle = [PauliKey(1, 0), PauliKey(0, 1), PauliKey(1, 1)]
         probes = [qcore.bell_state(adversary.PROBE_LABEL)] * 3
         probes = protocol.encode_key(probes, middle)
-        assert adversary.read_probes(probes, np.random.default_rng(2)) == middle
+        assert protocol.read_probes(probes, np.random.default_rng(2)) == middle
 
 
 class TestCollusionEndToEnd:
@@ -91,7 +110,7 @@ class TestInterceptResend:
         total = 4000
         decoys = protocol.insert_decoys(0, total, rng)
         arrived = [qcore.eigenstate(rec.basis, rec.value) for rec in decoys]
-        adversary.intercept_resend(decoys, arrived, [], rng)
+        protocol.intercept_resend(decoys, arrived, [], rng)
         errors = protocol.verify_decoys(decoys, arrived, rng)
         rate = errors / total
         assert abs(rate - 0.25) < 3 * math.sqrt(0.25 * 0.75 / total)
@@ -113,7 +132,7 @@ class TestInterceptResend:
         tilted = qcore.PureState(1, np.array([math.cos(math.pi / 8), math.sin(math.pi / 8)]))
         arrived = [tilted] * len(decoys)
         assert not certain(tilted, 0)
-        adversary.intercept_resend(decoys, arrived, pairs, rng)
+        protocol.intercept_resend(decoys, arrived, pairs, rng)
         assert all(certain(state, 0) for state in arrived)
         assert all(certain(pair, protocol.TRAVELING_QUBIT) for pair in pairs)
         assert all(certain(pair, protocol.RETAINED_QUBIT) for pair in pairs)

@@ -1,10 +1,13 @@
 """Command-line tests, run in-process through main(argv)."""
 
 import json
+from pathlib import Path
 
 import pytest
 
 from qsschain import checks, cli, harness, labels, protocol
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def run_cli(*argv):
@@ -23,6 +26,19 @@ class TestRun:
         assert "detection_rate=0.000000" in out
         assert "secret_recovery_rate=1.000000" in out
         assert "exact_detection=0.000000" in out
+
+    def test_readme_example_line(self, capsys):
+        """The summary line quoted in the README is what its example command prints."""
+        quoted = [
+            line for line in README.read_text(encoding="utf-8").splitlines()
+            if line.startswith("attack=collusion ")
+        ]
+        code = run_cli(
+            "run", "--attack", "collusion", "--n", "5", "--m", "16", "--d", "8",
+            "--trials", "1000", "--seed", "7",
+        )
+        assert code == 0
+        assert quoted == [capsys.readouterr().out.rstrip("\n")]
 
     def test_honest_summary_has_no_recovery_field(self, capsys):
         code = run_cli("run", "--n", "2", "--m", "2", "--d", "1", "--trials", "5", "--seed", "0")

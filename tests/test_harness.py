@@ -4,11 +4,12 @@ import csv
 import dataclasses
 import json
 import math
+import threading
 from fractions import Fraction
 
 import pytest
 
-from qsschain import harness
+from qsschain import harness, protocol
 from qsschain.config import ConfigError, ScenarioConfig
 from qsschain.harness import ReportWriteError, RunReport
 
@@ -110,6 +111,19 @@ class TestRunTrials:
         parallel = strip_time(harness.run_trials(config, threads=4))
         assert serial == parallel
 
+    def test_threads_start_no_thread(self, monkeypatch):
+        idents = []
+        run_distribution = protocol.run_distribution
+
+        def recording(config, rng):
+            idents.append(threading.get_ident())
+            return run_distribution(config, rng)
+
+        monkeypatch.setattr(protocol, "run_distribution", recording)
+        config = ScenarioConfig(n=2, m=2, d=1, attack="collusion", trials=16, seed=4)
+        harness.run_trials(config, threads=4)
+        assert idents == [threading.get_ident()] * config.trials
+
     def test_bad_thread_count(self):
         with pytest.raises(ValueError):
             harness.run_trials(ScenarioConfig(trials=1), threads=0)
@@ -117,6 +131,12 @@ class TestRunTrials:
     def test_bad_thread_count_names_its_field(self):
         with pytest.raises(ConfigError) as caught:
             harness.run_trials(ScenarioConfig(trials=1), threads=0)
+        assert caught.value.field == "threads"
+
+    @pytest.mark.parametrize("threads", [1.5, True, "2"])
+    def test_non_integer_thread_count_rejected(self, threads):
+        with pytest.raises(ConfigError) as caught:
+            harness.run_trials(ScenarioConfig(trials=1), threads=threads)
         assert caught.value.field == "threads"
 
 
