@@ -1,10 +1,11 @@
-"""Attacks on the distribution phase, and the collusion's probe rule.
+"""Attacks on the distribution phase, the collusion's probe rule and its proof.
 
-Both engines play the attack of `config.attack` inline: `labels.run` on
-label codes, and `protocol.run_distribution_dense` on state vectors with
-the steps `protocol.read_probes` and `protocol.intercept_resend`. This
-module holds the probe pairs' label, which both engines start from, and
-the rule that turns a probe's Bell outcome into the composite middle key.
+Both engines of `protocol` play the attack of `config.attack` inline:
+`run_distribution` on label codes, and `run_distribution_dense` on state
+vectors with the steps `read_probes` and `intercept_resend`. This module holds
+the probe pairs' label, which both engines start from, the rule that turns
+a probe's Bell outcome into the composite middle key, and the proof that
+the collusion leaves no trace (`collusion_failures`).
 
 * collusion: the first and last participants cooperate. Before the run,
   the first participant prepares one probe pair |Psi_11> per position and
@@ -33,6 +34,9 @@ the rule that turns a probe's Bell outcome into the composite middle key.
 
 from __future__ import annotations
 
+import itertools
+
+from . import labels, qcore
 from .qcore import BellLabel, PauliKey
 
 PROBE_LABEL = BellLabel(1, 1)
@@ -46,3 +50,31 @@ def recover_composite(measured: BellLabel) -> PauliKey:
     """
     measured = BellLabel(*measured)
     return PauliKey(measured.x ^ 1, measured.y ^ 1)
+
+
+def collusion_failures() -> list[str]:
+    """Failures of the 68-case proof that the collusion leaves no trace.
+
+    By state-vector enumeration: for every composite middle key (4 cases)
+    the probe pair's Bell outcome is certain and `recover_composite`
+    recovers the composite exactly. For every composite, boundary-key
+    total and prepared label (64 cases) the dealer pair's readout is
+    certain at the label predicted by XOR. All decoys on all hops are
+    genuine, so no check has anything to fire on. Empty when it holds.
+    """
+    failures = []
+    for composite in labels.KEYS:
+        probe = qcore.apply_pauli(qcore.bell_state(PROBE_LABEL), 1, composite)
+        outcome_probs = qcore.bell_probabilities(probe)
+        certain = [lab for lab, p in outcome_probs.items() if p > 1.0 - 1e-12]
+        if len(certain) != 1:
+            failures.append(f"probe outcome not certain for composite {tuple(composite)}")
+        elif recover_composite(certain[0]) != composite:
+            failures.append(f"composite {tuple(composite)} not recovered from {tuple(certain[0])}")
+        for boundary, prepared in itertools.product(labels.KEYS, qcore.BELL_LABELS):
+            total = composite ^ boundary
+            shifted = qcore.apply_pauli(qcore.bell_state(prepared), 1, total)
+            probs = qcore.bell_probabilities(shifted)
+            if not probs[BellLabel(prepared.x ^ total.u, prepared.y ^ total.v)] > 1.0 - 1e-12:
+                failures.append(f"readout not certain for {tuple(prepared)} under {tuple(total)}")
+    return failures

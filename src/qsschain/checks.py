@@ -16,7 +16,7 @@ import numpy as np
 from . import adversary, harness, labels, protocol, qcore
 from .config import ATTACK_KINDS, CHECK_KINDS, ScenarioConfig
 from .labels import KEYS
-from .qcore import BELL_LABELS, Basis, BellLabel
+from .qcore import BELL_LABELS, Basis
 
 
 @dataclass
@@ -110,30 +110,8 @@ def honest_correctness_sweep() -> CheckResult:
 
 
 def collusion_exactness() -> CheckResult:
-    """68 cases: the collusion leaves no trace, by state-vector enumeration.
-
-    For every composite middle key (4 cases) the probe pair's Bell outcome
-    is certain and recovers the composite exactly. For every composite,
-    boundary-key total and prepared label (64 cases) the dealer pair's
-    readout is certain at the label predicted by XOR. All decoys on all
-    hops are genuine, so no check has anything to fire on.
-    """
-    failures = []
-    for composite in KEYS:
-        probe = qcore.apply_pauli(qcore.bell_state(adversary.PROBE_LABEL), 1, composite)
-        outcome_probs = qcore.bell_probabilities(probe)
-        certain = [lab for lab, p in outcome_probs.items() if p > 1.0 - 1e-12]
-        if len(certain) != 1:
-            failures.append(f"probe outcome not certain for composite {tuple(composite)}")
-        elif adversary.recover_composite(certain[0]) != composite:
-            failures.append(f"composite {tuple(composite)} not recovered from {tuple(certain[0])}")
-        for boundary, prepared in itertools.product(KEYS, BELL_LABELS):
-            total = composite ^ boundary
-            shifted = qcore.apply_pauli(qcore.bell_state(prepared), 1, total)
-            probs = qcore.bell_probabilities(shifted)
-            if not probs[BellLabel(prepared.x ^ total.u, prepared.y ^ total.v)] > 1.0 - 1e-12:
-                failures.append(f"readout not certain for {tuple(prepared)} under {tuple(total)}")
-    return CheckResult("collusion exactness", 68, failures)
+    """68 cases: the collusion leaves no trace (`adversary.collusion_failures`)."""
+    return CheckResult("collusion exactness", 68, adversary.collusion_failures())
 
 
 class _FixedDraw:

@@ -22,7 +22,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from . import labels, protocol
+from . import adversary, labels, protocol
 from .config import ConfigError, ScenarioConfig, config_from_dict
 
 __all__ = [
@@ -243,7 +243,7 @@ def exact_detection(attack: str, d: int, sampled: int = 0) -> float:
     per-decoy error rate and q the enumerated chance that the parity check
     flags a pair the eavesdropper measured; both are 1/4, so this is
     1 - (3/4)^(d + sampled). collusion: 0, certified on every call by the
-    state-vector proof `checks.collusion_exactness`.
+    state-vector proof `adversary.collusion_failures`.
     """
     if d < 0:
         raise ValueError(f"decoy count must be >= 0, got {d}")
@@ -254,11 +254,9 @@ def exact_detection(attack: str, d: int, sampled: int = 0) -> float:
         missed *= (1 - _intercept_resend_pair_error()) ** sampled
         return float(1 - missed)
     if attack == "collusion":
-        from . import checks  # deferred: checks builds on this module
-
-        proof = checks.collusion_exactness()
-        if not proof.passed:
-            raise RuntimeError("collusion exactness proof failed: " + "; ".join(proof.failures))
+        failures = adversary.collusion_failures()
+        if failures:
+            raise RuntimeError("collusion exactness proof failed: " + "; ".join(failures))
         return 0.0
     raise ValueError(f"unsupported attack kind: {attack!r}")
 

@@ -1,4 +1,4 @@
-"""Closed-form label engine: one distribution run on small integer codes.
+"""Closed-form label rules: stabilizer states on small integer codes.
 
 Every state a run touches is a stabilizer state: Bell pairs under Pauli
 encodings, Z/X eigenstate decoys, and the product states that single-qubit
@@ -18,40 +18,26 @@ rules `pauli`, `measure_qubit`, `measure` and `bell_quarters`;
 `checks.label_rule_table` certifies each of them against the dense engine in
 `qcore` by enumeration.
 
-`run` plays the same protocol as `protocol.run_distribution_dense`, under
-the attack of `config.attack`, and consumes `rng` in exactly the same
-order: the same `integers`, `choice` and `permutation` calls and one uniform
-per measurement, even where the outcome is certain. Its outcome thresholds
-are exact (1/2 and multiples of 1/4). The dense engine's are rounded: its
-p0 for an even split is 0.5 - 2**-53 or 0.5 - 2**-52, and its cumulative
-Bell probabilities fall up to 3 * 2**-53 short of 1/4, 1/2 and 3/4. The
-two engines can therefore pick different outcomes only for a uniform draw
-that lies that close below a threshold (within 2**-52 of 1/2, the only
-threshold a run meets); certain outcomes agree at every draw.
+`protocol.run_distribution` plays a run with these rules and consumes its
+generator exactly as `protocol.run_distribution_dense` does: the same
+`integers`, `choice` and `permutation` calls and one uniform per
+measurement, even where the outcome is certain. The rules' outcome
+thresholds (`outcome`, `bell_outcome`) are exact (1/2 and multiples of
+1/4). The dense engine's are rounded: its p0 for an even split is
+0.5 - 2**-53 or 0.5 - 2**-52, and its cumulative Bell probabilities fall
+up to 3 * 2**-53 short of 1/4, 1/2 and 3/4. The two engines can therefore
+pick different outcomes only for a uniform draw that lies that close below
+a threshold (within 2**-52 of 1/2, the only threshold a run meets);
+certain outcomes agree at every draw.
 """
 
 from __future__ import annotations
 
-import math
-
-import numpy as np
-
-from . import protocol
-from .adversary import PROBE_LABEL
-from .config import ScenarioConfig
-from .protocol import (
-    DecoyCheckResult,
-    ImprovedCheckEntry,
-    ImprovedCheckRecord,
-    ParticipantKey,
-    Transcript,
-)
-from .qcore import BELL_LABELS, Basis, PauliKey
+from .qcore import Basis, PauliKey
 
 Z, X = 0, 1
 BASES = (Basis.Z, Basis.X)
 KEYS = tuple(PauliKey(u, v) for u in (0, 1) for v in (0, 1))  # indexed by 2u + v
-PROBE = 2 * PROBE_LABEL.x + PROBE_LABEL.y
 
 
 def product(retained: int, traveling: int) -> int:
@@ -125,165 +111,3 @@ def bell_outcome(pair: int, u: float) -> int:
         if scaled < cumulative:
             return label
     raise ValueError(f"uniform draw {u} outside [0, 1)")
-
-
-def _bit_pairs(rng: np.random.Generator, count: int) -> list[int]:
-    """`count` uniform bit pairs (a, b), drawn as the dense engine does, coded 2a + b."""
-    bits = rng.integers(0, 2, size=(count, 2))
-    return (2 * bits[:, 0] + bits[:, 1]).tolist()
-
-
-def _decoy_plan(seq_len: int, d: int, rng: np.random.Generator):
-    """`protocol.insert_decoys` on codes: (sorted decoy slots, decoy qubit codes)."""
-    slots = sorted(rng.choice(seq_len + d, size=d, replace=False).tolist())
-    return slots, _bit_pairs(rng, d)
-
-
-def _intercept_resend(slots, decoys, pairs, rng) -> None:
-    """Measure every particle of the hop in slot order, in a random Z/X basis."""
-    decoy_slots = {slot: i for i, slot in enumerate(slots)}
-    pair_index = 0
-    for slot in range(len(decoys) + len(pairs)):
-        basis = int(rng.integers(2))
-        u = rng.random()
-        if slot in decoy_slots:
-            i = decoy_slots[slot]
-            p0, posts = measure_qubit(decoys[i], basis)
-            decoys[i] = posts[outcome(p0, u)]
-        else:
-            p0, posts = measure(pairs[pair_index], 1, basis)
-            pairs[pair_index] = posts[outcome(p0, u)]
-            pair_index += 1
-
-
-def _verify(prepared: list[int], arrived: list[int], rng: np.random.Generator) -> int:
-    """Decoy errors: each arrived decoy measured in its prepared basis."""
-    errors = 0
-    for plan, state, u in zip(prepared, arrived, rng.random(len(prepared)).tolist()):
-        p0, _ = measure_qubit(state, plan >> 1)
-        errors += outcome(p0, u) != plan & 1
-    return errors
-
-
-def _encode(pairs: list[int], keys: list[int]) -> list[int]:
-    return [pauli(pair, key) for pair, key in zip(pairs, keys)]
-
-
-def _improved_check(pairs, prepared, keys, codes, fraction, rng) -> ImprovedCheckRecord:
-    """`protocol.improved_check` on codes; measures the sampled pairs in place."""
-    m = len(pairs)
-    chosen = sorted(rng.choice(m, size=math.ceil(fraction * m), replace=False).tolist())
-    entries = []
-    for idx in chosen:
-        basis = int(rng.integers(2))
-        p0, posts = measure(pairs[idx], 0, basis)
-        x_outcome = outcome(p0, rng.random())
-        pairs[idx] = posts[x_outcome]
-        order = rng.permutation(len(keys)).tolist()
-        announced = [(keys[j].owner, keys[j].keys[idx]) for j in order]
-        total = 0
-        for j in order:
-            total ^= codes[j][idx]
-        p0, posts = measure(pairs[idx], 1, basis)
-        y_outcome = outcome(p0, rng.random())
-        pairs[idx] = posts[y_outcome]
-        deduced = protocol.deduce_parity(prepared[idx], KEYS[total], BASES[basis])
-        entries.append(
-            ImprovedCheckEntry(
-                position=idx + 1,
-                basis=BASES[basis],
-                x_outcome=x_outcome,
-                announced=announced,
-                total_published=KEYS[total],
-                y_outcome=y_outcome,
-                deduced_parity=deduced,
-                matched=(x_outcome ^ y_outcome) == deduced,
-            )
-        )
-    return ImprovedCheckRecord(entries, passed=all(e.matched for e in entries))
-
-
-def run(config: ScenarioConfig, rng: np.random.Generator) -> Transcript:
-    """One distribution run under the attack of `config.attack`.
-
-    The transcript and the final generator state equal those of
-    `protocol.run_distribution_dense(config, rng)` from the same generator
-    state, up to the threshold rounding described in the module docstring.
-    `config` must already be validated.
-    """
-    n, m, d = config.n, config.m, config.d
-    pairs = _bit_pairs(rng, m)
-    prepared = [BELL_LABELS[pair] for pair in pairs]
-    codes = [_bit_pairs(rng, m) for _ in range(n)]
-    keys = [ParticipantKey(owner, [KEYS[c] for c in codes[owner - 1]]) for owner in range(1, n + 1)]
-    collusion = config.attack == "collusion"
-    eve_hop = n if config.attack == "intercept_resend" else None
-    decoy_checks: list[DecoyCheckResult] = []
-
-    def ship(hop: int, travelers: list[int]) -> None:
-        slots, decoys = _decoy_plan(len(travelers), d, rng) if d else ([], [])
-        errors = 0
-        if hop == eve_hop:
-            arrived = list(decoys)
-            _intercept_resend(slots, arrived, travelers, rng)
-            errors = _verify(decoys, arrived, rng)
-        elif d:
-            rng.random(d)  # untouched decoys measure as prepared: only the draws remain
-        decoy_checks.append(DecoyCheckResult(hop, errors, d, errors == 0, hop == eve_hop))
-
-    ship(0, pairs)
-    probes = [PROBE] * m
-    composites: list[int] = []
-    for k in range(1, n + 1):
-        if collusion and k == 1:
-            # the first colluder encodes the genuine particles and relays them
-            # privately; the chain carries the probe halves instead
-            pairs = _encode(pairs, codes[0])
-            ship(1, probes)
-        elif collusion and k == n:
-            draws = rng.random(m).tolist()
-            composites = [bell_outcome(p, u) ^ PROBE for p, u in zip(probes, draws)]
-            pairs = _encode(pairs, [own ^ c for own, c in zip(codes[n - 1], composites)])
-            ship(n, pairs)
-        elif collusion:
-            probes = _encode(probes, codes[k - 1])
-            ship(k, probes)
-        else:
-            pairs = _encode(pairs, codes[k - 1])
-            ship(k, pairs)
-
-    improved = None
-    sampled: set[int] = set()
-    if config.check == "improved":
-        improved = _improved_check(pairs, prepared, keys, codes, config.check_fraction, rng)
-        sampled = set(improved.sampled_positions)
-
-    payload_positions = [p for p in range(1, m + 1) if p not in sampled]
-    payload = [pairs[p - 1] for p in payload_positions]
-    draws = rng.random(len(payload)).tolist() if payload else []
-    readout = [BELL_LABELS[bell_outcome(pair, u)] for pair, u in zip(payload, draws)]
-    prepared_payload = [prepared[p - 1] for p in payload_positions]
-
-    attacker_bits = None
-    if collusion:
-        attacker_bits = []
-        for p in payload_positions:
-            total = codes[0][p - 1] ^ composites[p - 1] ^ codes[n - 1][p - 1]
-            attacker_bits.extend((total >> 1, total & 1))
-
-    detected = any(not c.passed for c in decoy_checks) or (
-        improved is not None and not improved.passed
-    )
-    return Transcript(
-        config=config,
-        prepared=prepared,
-        participant_keys=keys,
-        decoy_checks=decoy_checks,
-        improved_check=improved,
-        payload_positions=payload_positions,
-        readout=readout,
-        extracted_secret=protocol.extract_secret(prepared_payload, readout),
-        attacker_secret=attacker_bits,
-        recovered_composites=[KEYS[c] for c in composites] if collusion else None,
-        detected=detected,
-    )

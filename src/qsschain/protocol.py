@@ -25,11 +25,11 @@ Two final verification variants are supported:
   excluded from the secret payload.
 
 A run has two engines that give the same transcript from the same
-generator state: `run_distribution` runs the closed-form label engine
-(`labels.run`), and `run_distribution_dense` runs the dense state-vector
-reference it is certified against. Both play the attack of
-`config.attack` inline. The dense engine's attack steps, `read_probes` and
-`intercept_resend`, live here beside the honest steps they run with;
+generator state: `run_distribution` plays it on small integer codes with
+the closed-form rules of `labels`, and `run_distribution_dense` on the
+dense state vectors those rules are certified against. Both play the
+attack of `config.attack` inline, each with its own steps beside the
+honest ones (the label run's are private, e.g. `_intercept_resend_codes`);
 `adversary` describes both attacks and holds the collusion's probe rule.
 """
 
@@ -41,12 +41,13 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from . import adversary, qcore
+from . import adversary, labels, qcore
 from .config import ScenarioConfig
 from .qcore import Basis, BellLabel, PauliKey, PureState
 
 RETAINED_QUBIT = 0
 TRAVELING_QUBIT = 1
+_PROBE = 2 * adversary.PROBE_LABEL.x + adversary.PROBE_LABEL.y  # pair code of the probe label
 
 
 @dataclass
@@ -301,18 +302,168 @@ def intercept_resend(
             pair_index += 1
 
 
+def _bit_pairs(rng: np.random.Generator, count: int) -> list[int]:
+    """`count` uniform bit pairs (a, b), drawn as the dense engine does, coded 2a + b."""
+    bits = rng.integers(0, 2, size=(count, 2))
+    return (2 * bits[:, 0] + bits[:, 1]).tolist()
+
+
+def _decoy_plan(seq_len: int, d: int, rng: np.random.Generator):
+    """`insert_decoys` on codes: (sorted decoy slots, decoy qubit codes)."""
+    slots = sorted(rng.choice(seq_len + d, size=d, replace=False).tolist())
+    return slots, _bit_pairs(rng, d)
+
+
+def _intercept_resend_codes(slots, decoys, pairs, rng) -> None:
+    """Measure every particle of the hop in slot order, in a random Z/X basis."""
+    decoy_slots = {slot: i for i, slot in enumerate(slots)}
+    pair_index = 0
+    for slot in range(len(decoys) + len(pairs)):
+        basis = int(rng.integers(2))
+        u = rng.random()
+        if slot in decoy_slots:
+            i = decoy_slots[slot]
+            p0, posts = labels.measure_qubit(decoys[i], basis)
+            decoys[i] = posts[labels.outcome(p0, u)]
+        else:
+            p0, posts = labels.measure(pairs[pair_index], 1, basis)
+            pairs[pair_index] = posts[labels.outcome(p0, u)]
+            pair_index += 1
+
+
+def _verify_codes(prepared: list[int], arrived: list[int], rng: np.random.Generator) -> int:
+    """Decoy errors: each arrived decoy measured in its prepared basis."""
+    errors = 0
+    for plan, state, u in zip(prepared, arrived, rng.random(len(prepared)).tolist()):
+        p0, _ = labels.measure_qubit(state, plan >> 1)
+        errors += labels.outcome(p0, u) != plan & 1
+    return errors
+
+
+def _encode_codes(pairs: list[int], keys: list[int]) -> list[int]:
+    return [labels.pauli(pair, key) for pair, key in zip(pairs, keys)]
+
+
+def _improved_check_codes(pairs, prepared, keys, codes, fraction, rng) -> ImprovedCheckRecord:
+    """`improved_check` on codes; measures the sampled pairs in place."""
+    m = len(pairs)
+    chosen = sorted(rng.choice(m, size=math.ceil(fraction * m), replace=False).tolist())
+    entries = []
+    for idx in chosen:
+        basis = int(rng.integers(2))
+        p0, posts = labels.measure(pairs[idx], 0, basis)
+        x_outcome = labels.outcome(p0, rng.random())
+        pairs[idx] = posts[x_outcome]
+        order = rng.permutation(len(keys)).tolist()
+        announced = [(keys[j].owner, keys[j].keys[idx]) for j in order]
+        total = 0
+        for j in order:
+            total ^= codes[j][idx]
+        p0, posts = labels.measure(pairs[idx], 1, basis)
+        y_outcome = labels.outcome(p0, rng.random())
+        pairs[idx] = posts[y_outcome]
+        deduced = deduce_parity(prepared[idx], labels.KEYS[total], labels.BASES[basis])
+        entries.append(
+            ImprovedCheckEntry(
+                position=idx + 1,
+                basis=labels.BASES[basis],
+                x_outcome=x_outcome,
+                announced=announced,
+                total_published=labels.KEYS[total],
+                y_outcome=y_outcome,
+                deduced_parity=deduced,
+                matched=(x_outcome ^ y_outcome) == deduced,
+            )
+        )
+    return ImprovedCheckRecord(entries, passed=all(e.matched for e in entries))
+
+
 def run_distribution(config: ScenarioConfig, rng: np.random.Generator) -> Transcript:
     """Execute one full distribution run and return its transcript.
 
-    The run plays the attack of `config.attack` on the closed-form label
-    engine (`labels.run`). `run_distribution_dense` plays the same run on
-    state vectors and draws from `rng` in the same fixed order, so a fixed
-    generator state reproduces the run bit for bit on either engine.
+    The run plays the attack of `config.attack` on label codes with the
+    closed-form rules of `labels`. `run_distribution_dense` plays the same
+    run on state vectors and draws from `rng` in the same fixed order, so a
+    fixed generator state reproduces the run bit for bit on either engine,
+    up to the threshold rounding described in the `labels` docstring.
     """
     config.validate()
-    from . import labels  # deferred: labels builds on this module
+    n, m, d = config.n, config.m, config.d
+    pairs = _bit_pairs(rng, m)
+    prepared = [qcore.BELL_LABELS[pair] for pair in pairs]
+    codes = [_bit_pairs(rng, m) for _ in range(n)]
+    keys = [ParticipantKey(owner, [labels.KEYS[c] for c in codes[owner - 1]]) for owner in range(1, n + 1)]
+    collusion = config.attack == "collusion"
+    eve_hop = n if config.attack == "intercept_resend" else None
+    decoy_checks: list[DecoyCheckResult] = []
 
-    return labels.run(config, rng)
+    def ship(hop: int, travelers: list[int]) -> None:
+        slots, decoys = _decoy_plan(len(travelers), d, rng) if d else ([], [])
+        errors = 0
+        if hop == eve_hop:
+            arrived = list(decoys)
+            _intercept_resend_codes(slots, arrived, travelers, rng)
+            errors = _verify_codes(decoys, arrived, rng)
+        elif d:
+            rng.random(d)  # untouched decoys measure as prepared: only the draws remain
+        decoy_checks.append(DecoyCheckResult(hop, errors, d, errors == 0, hop == eve_hop))
+
+    ship(0, pairs)
+    probes = [_PROBE] * m
+    composites: list[int] = []
+    for k in range(1, n + 1):
+        if collusion and k == 1:
+            # the first colluder encodes the genuine particles and relays them
+            # privately; the chain carries the probe halves instead
+            pairs = _encode_codes(pairs, codes[0])
+            ship(1, probes)
+        elif collusion and k == n:
+            draws = rng.random(m).tolist()
+            composites = [labels.bell_outcome(p, u) ^ _PROBE for p, u in zip(probes, draws)]
+            pairs = _encode_codes(pairs, [own ^ c for own, c in zip(codes[n - 1], composites)])
+            ship(n, pairs)
+        elif collusion:
+            probes = _encode_codes(probes, codes[k - 1])
+            ship(k, probes)
+        else:
+            pairs = _encode_codes(pairs, codes[k - 1])
+            ship(k, pairs)
+
+    improved = None
+    sampled: set[int] = set()
+    if config.check == "improved":
+        improved = _improved_check_codes(pairs, prepared, keys, codes, config.check_fraction, rng)
+        sampled = set(improved.sampled_positions)
+
+    payload_positions = [p for p in range(1, m + 1) if p not in sampled]
+    payload = [pairs[p - 1] for p in payload_positions]
+    draws = rng.random(len(payload)).tolist() if payload else []
+    readout = [qcore.BELL_LABELS[labels.bell_outcome(pair, u)] for pair, u in zip(payload, draws)]
+    prepared_payload = [prepared[p - 1] for p in payload_positions]
+
+    attacker_bits = None
+    if collusion:
+        attacker_bits = []
+        for p in payload_positions:
+            total = codes[0][p - 1] ^ composites[p - 1] ^ codes[n - 1][p - 1]
+            attacker_bits.extend((total >> 1, total & 1))
+
+    detected = any(not c.passed for c in decoy_checks) or (
+        improved is not None and not improved.passed
+    )
+    return Transcript(
+        config=config,
+        prepared=prepared,
+        participant_keys=keys,
+        decoy_checks=decoy_checks,
+        improved_check=improved,
+        payload_positions=payload_positions,
+        readout=readout,
+        extracted_secret=extract_secret(prepared_payload, readout),
+        attacker_secret=attacker_bits,
+        recovered_composites=[labels.KEYS[c] for c in composites] if collusion else None,
+        detected=detected,
+    )
 
 
 def run_distribution_dense(config: ScenarioConfig, rng: np.random.Generator) -> Transcript:

@@ -1,5 +1,6 @@
 """Attack tests: collusion invisibility and recovery, intercept-resend disturbance."""
 
+import ast
 import math
 import os
 import subprocess
@@ -9,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qsschain import adversary, protocol, qcore
+from qsschain import adversary, checks, cli, harness, protocol, qcore
 from qsschain.config import ScenarioConfig
 from qsschain.qcore import Basis, BellLabel, PauliKey
 
@@ -17,18 +18,83 @@ ALL_KEYS = [PauliKey(u, v) for u in (0, 1) for v in (0, 1)]
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
-def test_adversary_does_not_load_protocol():
-    """The attack rules sit below the protocol: importing them loads no run code."""
+@pytest.mark.parametrize(
+    "statement, loaded, absent",
+    [
+        pytest.param(
+            "import qsschain.adversary", "qsschain.adversary", ["qsschain.protocol"],
+            id="adversary",
+        ),
+        pytest.param(
+            "import qsschain.labels",
+            "qsschain.labels",
+            ["qsschain.protocol", "qsschain.adversary", "qsschain.config"],
+            id="labels",
+        ),
+        pytest.param(
+            "from qsschain import harness; harness.exact_detection('collusion', 8)",
+            "qsschain.adversary",
+            ["qsschain.checks"],
+            id="exact_detection",
+        ),
+    ],
+)
+def test_adversary_does_not_load_protocol(statement, loaded, absent):
+    """Each layer loads only the layers below it, in a fresh interpreter."""
     probe = (
-        "import sys, qsschain.adversary\n"
+        f"import sys; {statement}\n"
         "print(sorted(name for name in sys.modules if name.startswith('qsschain')))"
     )
     env = dict(os.environ, PYTHONPATH=str(SRC))
     done = subprocess.run(
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
     )
-    assert "qsschain.protocol" not in done.stdout
-    assert "qsschain.adversary" in done.stdout
+    modules = ast.literal_eval(done.stdout)
+    assert loaded in modules
+    assert [name for name in absent if name in modules] == []
+
+
+def test_no_import_inside_a_function():
+    """Every import sits at module level, so the module graph is the import graph."""
+    found = set()
+    for path in sorted((SRC / "qsschain").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                found.update(
+                    f"{path.name}:{inner.lineno}"
+                    for inner in ast.walk(node)
+                    if isinstance(inner, (ast.Import, ast.ImportFrom))
+                )
+    assert sorted(found) == []
+
+
+class TestBrokenCollusionRule:
+    """A wrong probe rule fails the proof behind every collusion report."""
+
+    @pytest.fixture(autouse=True)
+    def wrong_rule(self, monkeypatch):
+        monkeypatch.setattr(adversary, "recover_composite", lambda measured: PauliKey(0, 0))
+
+    def test_exact_detection_raises(self):
+        with pytest.raises(RuntimeError, match="^collusion exactness proof failed: composite"):
+            harness.exact_detection("collusion", 8)
+
+    def test_run_exits_1(self, capsys):
+        code = cli.main(["run", "--attack", "collusion", "--trials", "5"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.startswith("error: collusion exactness proof failed: ")
+
+    def test_verify_fails_the_collusion_suite(self, capsys, monkeypatch):
+        monkeypatch.setattr(checks, "DIFFERENTIAL_TRIALS", 1)
+        code = cli.main(["verify"])
+        out = capsys.readouterr().out
+        assert code == 1
+        failed_line = next(
+            line for line in out.splitlines() if line.startswith("collusion exactness")
+        )
+        assert "FAIL" in failed_line
 
 
 class TestCollusionPieces:

@@ -103,15 +103,8 @@ class TestRunTrials:
         second = strip_time(harness.run_trials(config))
         assert first == second
 
-    def test_thread_count_does_not_change_the_report(self):
-        config = ScenarioConfig(
-            n=2, m=2, d=3, attack="intercept_resend", trials=64, seed=6
-        )
-        serial = strip_time(harness.run_trials(config, threads=1))
-        parallel = strip_time(harness.run_trials(config, threads=4))
-        assert serial == parallel
-
     def test_threads_start_no_thread(self, monkeypatch):
+        """Trials run in the calling thread, so `threads` changes nothing in the report."""
         idents = []
         run_distribution = protocol.run_distribution
 
@@ -120,9 +113,10 @@ class TestRunTrials:
             return run_distribution(config, rng)
 
         monkeypatch.setattr(protocol, "run_distribution", recording)
-        config = ScenarioConfig(n=2, m=2, d=1, attack="collusion", trials=16, seed=4)
-        harness.run_trials(config, threads=4)
+        config = ScenarioConfig(n=2, m=2, d=3, attack="intercept_resend", trials=64, seed=6)
+        parallel = strip_time(harness.run_trials(config, threads=4))
         assert idents == [threading.get_ident()] * config.trials
+        assert parallel == strip_time(harness.run_trials(config, threads=1))
 
     def test_bad_thread_count(self):
         with pytest.raises(ValueError):
