@@ -1,11 +1,11 @@
 """Attacks on the distribution phase, the collusion's probe rule and its proof.
 
-Both engines of `protocol` play the attack of `config.attack` inline:
-`run_distribution` on label codes, and `run_distribution_dense` on state
-vectors with the steps `read_probes` and `intercept_resend`. This module holds
-the probe pairs' label, which both engines start from, the rule that turns
-a probe's Bell outcome into the composite middle key, and the proof that
-the collusion leaves no trace (`collusion_failures`).
+The one run of `protocol` plays the attack of `config.attack` inline, on
+either register algebra, with the steps `protocol.read_probes` and
+`protocol.intercept_resend`. This module holds the probe pairs' label,
+which the run starts from, the rule that turns a probe's Bell outcome into
+the composite middle key (`recover_composite`, which `read_probes` calls),
+and the proof that the collusion leaves no trace (`collusion_failures`).
 
 * collusion: the first and last participants cooperate. Before the run,
   the first participant prepares one probe pair |Psi_11> per position and

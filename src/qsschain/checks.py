@@ -85,7 +85,11 @@ def parity_rule_table() -> CheckResult:
 
 
 def honest_correctness_sweep() -> CheckResult:
-    """Seeded honest runs: no detection, secret equals the key XOR, labels agree."""
+    """Seeded honest runs: no detection, secret equals the key XOR, algebras agree.
+
+    The secret is checked with `key_total`, apart from the run's own
+    bookkeeping, so this tests the flow of the one run both algebras play.
+    """
     failures = []
     cases = 0
     grid = list(itertools.product((2, 3, 4), (1, 5), ("original", "improved")))
@@ -112,16 +116,6 @@ def honest_correctness_sweep() -> CheckResult:
 def collusion_exactness() -> CheckResult:
     """68 cases: the collusion leaves no trace (`adversary.collusion_failures`)."""
     return CheckResult("collusion exactness", 68, adversary.collusion_failures())
-
-
-class _FixedDraw:
-    """Generator stand-in whose `random()` always returns `u`."""
-
-    def __init__(self, u: float) -> None:
-        self.u = u
-
-    def random(self) -> float:
-        return self.u
 
 
 _RULE_TOL = 1e-12
@@ -160,7 +154,7 @@ def _check_measurement(tag, rule, state, qubit, basis, to_state, failures) -> No
         if {labels.outcome(p0, first), labels.outcome(p0, last)} != {expected}:
             failures.append(f"{tag}: draws in [{first}, {last}] do not all pick {expected}")
         u = (first + last) / 2
-        got, post = qcore.measure_in_basis(state, qubit, basis, _FixedDraw(u))
+        got, post = qcore.measure_in_basis(state, qubit, basis, protocol.FixedDraw(u))
         if got != expected or not qcore.equal_up_to_phase(post, to_state(posts[expected]), _RULE_TOL):
             failures.append(f"{tag}: post-state of outcome {expected} differs")
 
@@ -206,7 +200,7 @@ def label_rule_table() -> CheckResult:
             failures.append(f"bell: pair {pair} probabilities {weights} differ from state vector")
             continue
         for expected, first, last in _intervals(weights):
-            label, _ = qcore.bell_measure(_pair_state(pair), _FixedDraw((first + last) / 2))
+            label, _ = qcore.bell_measure(_pair_state(pair), protocol.FixedDraw((first + last) / 2))
             picked = {labels.bell_outcome(pair, first), labels.bell_outcome(pair, last)}
             if picked != {expected} or label != BELL_LABELS[expected]:
                 failures.append(f"bell: pair {pair} draws in [{first}, {last}] do not all pick {expected}")
@@ -217,9 +211,13 @@ DIFFERENTIAL_TRIALS = 140
 
 
 def differential_sweep() -> CheckResult:
-    """Seeded trials through both engines: equal transcripts and generator states.
+    """Seeded trials on both register algebras: equal transcripts and generator states.
 
-    Covers attack x check x d x check_fraction x (n, m): 72 scenarios of
+    Both entry points play the same run, so this certifies the label rules
+    against the state vectors along real runs, including the label
+    algebra's shortcut for intact decoys; the run draws every uniform
+    itself, so equal generator states follow by construction. Covers
+    attack x check x d x check_fraction x (n, m): 72 scenarios of
     DIFFERENTIAL_TRIALS trials each, 10,080 trials in all.
     """
     failures = []

@@ -9,6 +9,7 @@ trials of a batch run one after another in the calling thread.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import itertools
 import json
@@ -192,6 +193,7 @@ def _branches(p0: float) -> tuple[tuple[int, Fraction], tuple[int, Fraction]]:
     return (0, Fraction(p0)), (1, 1 - Fraction(p0))
 
 
+@functools.cache
 def _intercept_resend_decoy_error() -> Fraction:
     """Exact per-decoy error rate under intercept-resend, by enumeration.
 
@@ -212,6 +214,7 @@ def _intercept_resend_decoy_error() -> Fraction:
     return total
 
 
+@functools.cache
 def _intercept_resend_pair_error() -> Fraction:
     """Exact chance that the parity check flags one sampled pair Eve measured.
 
@@ -242,8 +245,9 @@ def exact_detection(attack: str, d: int, sampled: int = 0) -> float:
     intercept_resend: 1 - (1 - p)^d (1 - q)^sampled, with p the enumerated
     per-decoy error rate and q the enumerated chance that the parity check
     flags a pair the eavesdropper measured; both are 1/4, so this is
-    1 - (3/4)^(d + sampled). collusion: 0, certified on every call by the
-    state-vector proof `adversary.collusion_failures`.
+    1 - (3/4)^(d + sampled); each enumeration runs once per process.
+    collusion: 0, certified on every call by the state-vector proof
+    `adversary.collusion_failures`.
     """
     if d < 0:
         raise ValueError(f"decoy count must be >= 0, got {d}")

@@ -18,17 +18,18 @@ rules `pauli`, `measure_qubit`, `measure` and `bell_quarters`;
 `checks.label_rule_table` certifies each of them against the dense engine in
 `qcore` by enumeration.
 
-`protocol.run_distribution` plays a run with these rules and consumes its
-generator exactly as `protocol.run_distribution_dense` does: the same
-`integers`, `choice` and `permutation` calls and one uniform per
-measurement, even where the outcome is certain. The rules' outcome
-thresholds (`outcome`, `bell_outcome`) are exact (1/2 and multiples of
-1/4). The dense engine's are rounded: its p0 for an even split is
-0.5 - 2**-53 or 0.5 - 2**-52, and its cumulative Bell probabilities fall
-up to 3 * 2**-53 short of 1/4, 1/2 and 3/4. The two engines can therefore
-pick different outcomes only for a uniform draw that lies that close below
-a threshold (within 2**-52 of 1/2, the only threshold a run meets);
-certain outcomes agree at every draw.
+`protocol.run_distribution` plays the protocol's one run on this module as
+its register algebra, resolving each rule here when it calls it, and
+`protocol.run_distribution_dense` plays it on `protocol.DENSE`, the same
+names over `qcore`. The run draws the uniforms itself, one per measurement
+even where the outcome is certain, so both algebras consume the generator
+alike. The rules' outcome thresholds (`outcome`, `bell_outcome`) are exact
+(1/2 and multiples of 1/4). The dense engine's are rounded: its p0 for an
+even split is 0.5 - 2**-53 or 0.5 - 2**-52, and its cumulative Bell
+probabilities fall up to 3 * 2**-53 short of 1/4, 1/2 and 3/4. The two
+algebras can therefore pick different outcomes only for a uniform draw
+that lies that close below a threshold (within 2**-52 of 1/2, the only
+threshold a run meets); certain outcomes agree at every draw.
 """
 
 from __future__ import annotations
@@ -43,6 +44,16 @@ KEYS = tuple(PauliKey(u, v) for u in (0, 1) for v in (0, 1))  # indexed by 2u + 
 def product(retained: int, traveling: int) -> int:
     """Pair code of the product of two eigenstate qubit codes."""
     return 4 + 4 * retained + traveling
+
+
+def bell_pairs(codes: list[int]) -> list[int]:
+    """Pair registers in the Bell states of the given codes: the codes themselves."""
+    return list(codes)
+
+
+def eigenstates(codes: list[int]) -> list[int]:
+    """Decoy registers in the eigenstates of the given qubit codes: the codes themselves."""
+    return list(codes)
 
 
 def pauli(pair: int, key: int) -> int:
@@ -82,6 +93,29 @@ def measure(pair: int, qubit: int, basis: int) -> tuple[float, tuple[int, int]]:
         product(mine, other) if qubit == 0 else product(other, mine) for mine, other in branches
     )
     return p0, posts
+
+
+def collapse(pair: int, qubit: int, basis: int, u: float) -> tuple[int, int]:
+    """`measure` at the uniform draw u: (outcome, post-measurement pair code)."""
+    p0, posts = measure(pair, qubit, basis)
+    bit = outcome(p0, u)
+    return bit, posts[bit]
+
+
+def collapse_qubit(qubit: int, basis: int, u: float) -> tuple[int, int]:
+    """`measure_qubit` at the uniform draw u: (outcome, post-measurement qubit code)."""
+    p0, posts = measure_qubit(qubit, basis)
+    bit = outcome(p0, u)
+    return bit, posts[bit]
+
+
+def decoys_intact(plan: list[int], arrived: list[int]) -> bool:
+    """True when every decoy arrived as planned, so none can show an error.
+
+    A decoy measured in its own basis gives its value at every draw (the 8
+    decoy cases of `checks.label_rule_table`).
+    """
+    return arrived == plan
 
 
 def bell_quarters(pair: int) -> tuple[int, int, int, int]:

@@ -24,39 +24,34 @@ Two final verification variants are supported:
   particle shows up as a parity mismatch. Sampled pairs are consumed and
   excluded from the secret payload.
 
-A run has two engines that give the same transcript from the same
-generator state: `run_distribution` plays it on small integer codes with
-the closed-form rules of `labels`, and `run_distribution_dense` on the
-dense state vectors those rules are certified against. Both play the
-attack of `config.attack` inline, each with its own steps beside the
-honest ones (the label run's are private, e.g. `_intercept_resend_codes`);
-`adversary` describes both attacks and holds the collusion's probe rule.
+The run is written once, in `_run`, over a register algebra: `bell_pairs`,
+`eigenstates`, `pauli`, `collapse`, `collapse_qubit`, `bell_outcome` and
+`decoys_intact`, with keys, bases and outcomes coded as in `labels`.
+`run_distribution` plays it on the `labels` module itself and
+`run_distribution_dense` on `DENSE`, the same names over `qcore` state
+vectors. The run draws every uniform and hands it to the algebra, so a
+fixed generator state gives the same transcript on either. Each hop plans
+its decoys with `insert_decoys`; the steps `verify_decoys`, `encode_key`,
+`improved_check` and the attack steps `read_probes` and `intercept_resend`
+take the algebra. `adversary` describes both attacks.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import Optional, Sequence
 
 import numpy as np
 
 from . import adversary, labels, qcore
 from .config import ScenarioConfig
-from .qcore import Basis, BellLabel, PauliKey, PureState
+from .qcore import BELL_LABELS, Basis, BellLabel, PauliKey
 
 RETAINED_QUBIT = 0
 TRAVELING_QUBIT = 1
 _PROBE = 2 * adversary.PROBE_LABEL.x + adversary.PROBE_LABEL.y  # pair code of the probe label
-
-
-@dataclass
-class DecoyRecord:
-    """Sender-side description of one decoy: where it sits and how it was prepared."""
-
-    insert_position: int
-    basis: Basis
-    value: int
 
 
 @dataclass
@@ -123,59 +118,99 @@ class Transcript:
     detected: bool
 
 
-def prepare_epr_sequence(
-    m: int, rng: np.random.Generator
-) -> tuple[list[BellLabel], list[PureState]]:
-    """Prepare m Bell pairs with uniformly random labels: (labels, pair states).
+class FixedDraw:
+    """Generator stand-in whose `random()` returns a uniform the run already drew."""
 
-    Entry i is the pair at position i + 1. Its retained particle is qubit 0
-    of the pair state and its traveling particle qubit 1.
-    """
-    bits = rng.integers(0, 2, size=(m, 2))
-    prepared = [BellLabel(int(x), int(y)) for x, y in bits]
-    return prepared, [qcore.bell_state(label) for label in prepared]
+    def __init__(self, u: float) -> None:
+        self.u = u
+
+    def random(self) -> float:
+        return self.u
 
 
-def insert_decoys(seq_len: int, d: int, rng: np.random.Generator) -> list[DecoyRecord]:
-    """Plan a hop: choose decoy slots and preparations for a payload of seq_len.
+# The register algebra of `labels` on `qcore` state vectors: the names the run
+# calls on `labels`, with the same codes for keys, bases and outcomes, but with
+# `PureState` registers (a pair holds the retained qubit 0 and the traveling
+# qubit 1). `qcore.measure_in_basis` and `qcore.bell_measure` sample every
+# outcome from the run's draw, handed over as a `FixedDraw`, and every decoy
+# is measured.
+DENSE = SimpleNamespace(
+    bell_pairs=lambda codes: [qcore.bell_state(BELL_LABELS[code]) for code in codes],
+    eigenstates=lambda codes: [qcore.eigenstate(labels.BASES[c >> 1], c & 1) for c in codes],
+    pauli=lambda pair, key: qcore.apply_pauli(pair, TRAVELING_QUBIT, labels.KEYS[key]),
+    collapse=lambda pair, qubit, basis, u: qcore.measure_in_basis(
+        pair, qubit, labels.BASES[basis], FixedDraw(u)
+    ),
+    collapse_qubit=lambda qubit, basis, u: DENSE.collapse(qubit, 0, basis, u),
+    bell_outcome=lambda pair, u: BELL_LABELS.index(qcore.bell_measure(pair, FixedDraw(u))[0]),
+    decoys_intact=lambda plan, arrived: False,
+)
 
-    The hop carries seq_len + d particles. The decoys, sorted by slot, sit
-    at their `insert_position`s and the payload fills the other slots in
-    order. Each decoy is prepared uniformly over the four eigenstates
-    {|0>, |1>, |+>, |->}.
+
+def _bit_pairs(rng: np.random.Generator, count: int) -> list[int]:
+    """`count` uniform bit pairs (a, b), coded 2a + b."""
+    bits = rng.integers(0, 2, size=(count, 2))
+    return (2 * bits[:, 0] + bits[:, 1]).tolist()
+
+
+def insert_decoys(seq_len: int, d: int, rng: np.random.Generator) -> tuple[list[int], list[int]]:
+    """Plan a hop for a payload of seq_len: (sorted decoy slots, decoy qubit codes).
+
+    The hop carries seq_len + d particles. The decoys sit at the slots and
+    the payload fills the other slots in order. Each decoy is prepared
+    uniformly over the four eigenstates {|0>, |1>, |+>, |->}, coded
+    2 * basis + value as in `labels`.
     """
     if d == 0:
-        return []
-    positions = sorted(int(p) for p in rng.choice(seq_len + d, size=d, replace=False))
-    bits = rng.integers(0, 2, size=(d, 2))
-    return [
-        DecoyRecord(pos, Basis.Z if basis == 0 else Basis.X, int(value))
-        for pos, (basis, value) in zip(positions, bits)
-    ]
+        return [], []
+    slots = sorted(rng.choice(seq_len + d, size=d, replace=False).tolist())
+    return slots, _bit_pairs(rng, d)
 
 
-def verify_decoys(
-    decoys: Sequence[DecoyRecord], arrived: Sequence[PureState], rng: np.random.Generator
-) -> int:
-    """Measure each decoy in its announced basis; return how many differ from the value.
+def verify_decoys(alg, plan: Sequence[int], arrived: Sequence, rng: np.random.Generator) -> int:
+    """Measure each decoy in its planned basis; return how many differ from the plan.
 
-    `arrived[i]` is the state in which decoy `decoys[i]` reached the
-    receiver. A hop passes only with no errors.
+    `arrived[i]` is the register in which the decoy coded `plan[i]` reached
+    the receiver. One uniform is drawn per decoy even where the algebra
+    knows they are intact. A hop passes only with no errors.
     """
-    if len(arrived) != len(decoys):
-        raise ValueError(f"{len(arrived)} arrived decoys for {len(decoys)} announced")
+    draws = rng.random(len(plan))
+    if alg.decoys_intact(plan, arrived):
+        return 0
     errors = 0
-    for rec, state in zip(decoys, arrived):
-        outcome, _ = qcore.measure_in_basis(state, 0, rec.basis, rng)
-        errors += outcome != rec.value
+    for code, decoy, u in zip(plan, arrived, draws.tolist(), strict=True):
+        outcome, _ = alg.collapse_qubit(decoy, code >> 1, u)
+        errors += outcome != code & 1
     return errors
 
 
-def encode_key(pairs: Sequence[PureState], keys: Sequence[PauliKey]) -> list[PureState]:
-    """Apply U_{u,v} with one key per pair to each traveling qubit."""
-    if len(keys) != len(pairs):
-        raise ValueError(f"{len(keys)} keys for {len(pairs)} pairs")
-    return [qcore.apply_pauli(pair, TRAVELING_QUBIT, key) for pair, key in zip(pairs, keys)]
+def encode_key(alg, pairs: Sequence, keys: Sequence[int]) -> list:
+    """Apply U_{u,v} with one key code 2u + v per pair to each traveling qubit."""
+    return [alg.pauli(pair, key) for pair, key in zip(pairs, keys, strict=True)]
+
+
+def intercept_resend(
+    alg, slots: Sequence[int], decoys: list, pairs: list, rng: np.random.Generator
+) -> None:
+    """Measure every particle of one hop, in slot order, in a random Z/X basis.
+
+    The hop's decoys sit at their slots and the traveling qubits of `pairs`
+    fill the other slots in order. Each post-measurement register replaces
+    its entry in `decoys` or `pairs`: the eigenstate left behind is what a
+    resent particle would carry, so collapsing in place models the attack
+    exactly.
+    """
+    decoy_at = {slot: i for i, slot in enumerate(slots)}
+    pair_index = 0
+    for slot in range(len(decoys) + len(pairs)):
+        basis = int(rng.integers(2))
+        u = rng.random()
+        if slot in decoy_at:
+            i = decoy_at[slot]
+            _, decoys[i] = alg.collapse_qubit(decoys[i], basis, u)
+        else:
+            _, pairs[pair_index] = alg.collapse(pairs[pair_index], TRAVELING_QUBIT, basis, u)
+            pair_index += 1
 
 
 def key_total(keys: Sequence[ParticipantKey], position: int) -> PauliKey:
@@ -190,12 +225,8 @@ def extract_secret(
     prepared: Sequence[BellLabel], readout: Sequence[BellLabel]
 ) -> list[int]:
     """Secret bits from prepared vs readout labels: (x^x', y^y') per pair."""
-    if len(prepared) != len(readout):
-        raise ValueError(
-            f"prepared and readout lengths differ: {len(prepared)} vs {len(readout)}"
-        )
     bits = []
-    for before, after in zip(prepared, readout):
+    for before, after in zip(prepared, readout, strict=True):
         bits.append(before.x ^ after.x)
         bits.append(before.y ^ after.y)
     return bits
@@ -214,7 +245,8 @@ def deduce_parity(prepared: BellLabel, total_published: PauliKey, basis: Basis) 
 
 
 def improved_check(
-    pairs: list[PureState],
+    alg,
+    pairs: list,
     prepared: Sequence[BellLabel],
     fraction: float,
     announcements: Sequence[ParticipantKey],
@@ -226,142 +258,25 @@ def improved_check(
     random Z/X basis, every participant publishes its key for that position
     (announcement order is a recorded random permutation), Alice measures
     the returned particle in the same basis and checks the outcome parity
-    against `deduce_parity`. Sampled pairs are consumed: their entries in
-    `pairs` are replaced by the measured states.
+    against `deduce_parity` on the XOR of the published keys. Sampled pairs
+    are consumed: their entries in `pairs` are replaced by the measured
+    registers.
 
     Returns the per-position record; `passed` is True iff every sampled
     position matched.
     """
     m = len(pairs)
-    sample_size = math.ceil(fraction * m)
-    chosen = sorted(int(i) for i in rng.choice(m, size=sample_size, replace=False))
-    entries = []
-    for idx in chosen:
-        basis = Basis.Z if rng.integers(2) == 0 else Basis.X
-        x_outcome, pairs[idx] = qcore.measure_in_basis(pairs[idx], RETAINED_QUBIT, basis, rng)
-        order = rng.permutation(len(announcements))
-        announced = [
-            (announcements[j].owner, announcements[j].keys[idx]) for j in order
-        ]
-        total = key_total(announcements, idx + 1)
-        y_outcome, pairs[idx] = qcore.measure_in_basis(pairs[idx], TRAVELING_QUBIT, basis, rng)
-        deduced = deduce_parity(prepared[idx], total, basis)
-        entries.append(
-            ImprovedCheckEntry(
-                position=idx + 1,
-                basis=basis,
-                x_outcome=x_outcome,
-                announced=announced,
-                total_published=total,
-                y_outcome=y_outcome,
-                deduced_parity=deduced,
-                matched=(x_outcome ^ y_outcome) == deduced,
-            )
-        )
-    return ImprovedCheckRecord(entries, passed=all(e.matched for e in entries))
-
-
-def read_probes(probes: Sequence[PureState], rng: np.random.Generator) -> list[PauliKey]:
-    """Bell-measure every collusion probe pair and return the recovered composites.
-
-    The last colluder does this once the probe halves have passed every
-    middle participant, so each probe carries the XOR of all middle keys.
-    """
-    composites = []
-    for probe in probes:
-        label, _ = qcore.bell_measure(probe, rng)
-        composites.append(adversary.recover_composite(label))
-    return composites
-
-
-def intercept_resend(
-    decoys: Sequence[DecoyRecord],
-    decoy_states: list[PureState],
-    pairs: list[PureState],
-    rng: np.random.Generator,
-) -> None:
-    """Measure every particle of one hop, in slot order, in a random Z/X basis.
-
-    The hop's decoys sit at their insert positions and the traveling qubits
-    of `pairs` fill the other slots in order. Each post-measurement state
-    replaces its entry in `decoy_states` or `pairs`: the eigenstate left
-    behind is what a resent particle would carry, so collapsing in place
-    models the attack exactly.
-    """
-    decoy_at = {rec.insert_position: i for i, rec in enumerate(decoys)}
-    pair_index = 0
-    for slot in range(len(decoys) + len(pairs)):
-        basis = Basis.Z if rng.integers(2) == 0 else Basis.X
-        if slot in decoy_at:
-            i = decoy_at[slot]
-            _, decoy_states[i] = qcore.measure_in_basis(decoy_states[i], 0, basis, rng)
-        else:
-            _, pairs[pair_index] = qcore.measure_in_basis(
-                pairs[pair_index], TRAVELING_QUBIT, basis, rng
-            )
-            pair_index += 1
-
-
-def _bit_pairs(rng: np.random.Generator, count: int) -> list[int]:
-    """`count` uniform bit pairs (a, b), drawn as the dense engine does, coded 2a + b."""
-    bits = rng.integers(0, 2, size=(count, 2))
-    return (2 * bits[:, 0] + bits[:, 1]).tolist()
-
-
-def _decoy_plan(seq_len: int, d: int, rng: np.random.Generator):
-    """`insert_decoys` on codes: (sorted decoy slots, decoy qubit codes)."""
-    slots = sorted(rng.choice(seq_len + d, size=d, replace=False).tolist())
-    return slots, _bit_pairs(rng, d)
-
-
-def _intercept_resend_codes(slots, decoys, pairs, rng) -> None:
-    """Measure every particle of the hop in slot order, in a random Z/X basis."""
-    decoy_slots = {slot: i for i, slot in enumerate(slots)}
-    pair_index = 0
-    for slot in range(len(decoys) + len(pairs)):
-        basis = int(rng.integers(2))
-        u = rng.random()
-        if slot in decoy_slots:
-            i = decoy_slots[slot]
-            p0, posts = labels.measure_qubit(decoys[i], basis)
-            decoys[i] = posts[labels.outcome(p0, u)]
-        else:
-            p0, posts = labels.measure(pairs[pair_index], 1, basis)
-            pairs[pair_index] = posts[labels.outcome(p0, u)]
-            pair_index += 1
-
-
-def _verify_codes(prepared: list[int], arrived: list[int], rng: np.random.Generator) -> int:
-    """Decoy errors: each arrived decoy measured in its prepared basis."""
-    errors = 0
-    for plan, state, u in zip(prepared, arrived, rng.random(len(prepared)).tolist()):
-        p0, _ = labels.measure_qubit(state, plan >> 1)
-        errors += labels.outcome(p0, u) != plan & 1
-    return errors
-
-
-def _encode_codes(pairs: list[int], keys: list[int]) -> list[int]:
-    return [labels.pauli(pair, key) for pair, key in zip(pairs, keys)]
-
-
-def _improved_check_codes(pairs, prepared, keys, codes, fraction, rng) -> ImprovedCheckRecord:
-    """`improved_check` on codes; measures the sampled pairs in place."""
-    m = len(pairs)
     chosen = sorted(rng.choice(m, size=math.ceil(fraction * m), replace=False).tolist())
     entries = []
     for idx in chosen:
         basis = int(rng.integers(2))
-        p0, posts = labels.measure(pairs[idx], 0, basis)
-        x_outcome = labels.outcome(p0, rng.random())
-        pairs[idx] = posts[x_outcome]
-        order = rng.permutation(len(keys)).tolist()
-        announced = [(keys[j].owner, keys[j].keys[idx]) for j in order]
+        x_outcome, pairs[idx] = alg.collapse(pairs[idx], RETAINED_QUBIT, basis, rng.random())
+        order = rng.permutation(len(announcements)).tolist()
+        announced = [(announcements[j].owner, announcements[j].keys[idx]) for j in order]
         total = 0
-        for j in order:
-            total ^= codes[j][idx]
-        p0, posts = labels.measure(pairs[idx], 1, basis)
-        y_outcome = labels.outcome(p0, rng.random())
-        pairs[idx] = posts[y_outcome]
+        for _, (u, v) in announced:
+            total ^= 2 * u + v
+        y_outcome, pairs[idx] = alg.collapse(pairs[idx], TRAVELING_QUBIT, basis, rng.random())
         deduced = deduce_parity(prepared[idx], labels.KEYS[total], labels.BASES[basis])
         entries.append(
             ImprovedCheckEntry(
@@ -378,162 +293,85 @@ def _improved_check_codes(pairs, prepared, keys, codes, fraction, rng) -> Improv
     return ImprovedCheckRecord(entries, passed=all(e.matched for e in entries))
 
 
-def run_distribution(config: ScenarioConfig, rng: np.random.Generator) -> Transcript:
-    """Execute one full distribution run and return its transcript.
+def read_probes(alg, probes: Sequence, rng: np.random.Generator) -> list[PauliKey]:
+    """Bell-measure every collusion probe pair and return the recovered composites.
 
-    The run plays the attack of `config.attack` on label codes with the
-    closed-form rules of `labels`. `run_distribution_dense` plays the same
-    run on state vectors and draws from `rng` in the same fixed order, so a
-    fixed generator state reproduces the run bit for bit on either engine,
-    up to the threshold rounding described in the `labels` docstring.
+    The last colluder does this once the probe halves have passed every
+    middle participant, so each probe carries the XOR of all middle keys;
+    `adversary.recover_composite` turns each outcome into that composite.
     """
+    composite = [adversary.recover_composite(label) for label in BELL_LABELS]  # by outcome code
+    draws = rng.random(len(probes)).tolist()
+    return [composite[alg.bell_outcome(probe, u)] for probe, u in zip(probes, draws)]
+
+
+def _run(alg, config: ScenarioConfig, rng: np.random.Generator) -> Transcript:
+    """Play one distribution run on the register algebra `alg` (see the module docstring)."""
     config.validate()
     n, m, d = config.n, config.m, config.d
-    pairs = _bit_pairs(rng, m)
-    prepared = [qcore.BELL_LABELS[pair] for pair in pairs]
-    codes = [_bit_pairs(rng, m) for _ in range(n)]
-    keys = [ParticipantKey(owner, [labels.KEYS[c] for c in codes[owner - 1]]) for owner in range(1, n + 1)]
+    codes = _bit_pairs(rng, m)
+    prepared = [BELL_LABELS[code] for code in codes]
+    key_codes = [_bit_pairs(rng, m) for _ in range(n)]
+    keys = [
+        ParticipantKey(owner, [labels.KEYS[c] for c in own])
+        for owner, own in enumerate(key_codes, 1)
+    ]
     collusion = config.attack == "collusion"
     eve_hop = n if config.attack == "intercept_resend" else None
     decoy_checks: list[DecoyCheckResult] = []
 
-    def ship(hop: int, travelers: list[int]) -> None:
-        slots, decoys = _decoy_plan(len(travelers), d, rng) if d else ([], [])
-        errors = 0
-        if hop == eve_hop:
-            arrived = list(decoys)
-            _intercept_resend_codes(slots, arrived, travelers, rng)
-            errors = _verify_codes(decoys, arrived, rng)
-        elif d:
-            rng.random(d)  # untouched decoys measure as prepared: only the draws remain
+    def ship(hop: int, travelers: list) -> None:
+        """Send `travelers` over one hop among d fresh decoys and check them on arrival."""
+        slots, plan = insert_decoys(len(travelers), d, rng)
+        arrived = alg.eigenstates(plan)
+        if hop == eve_hop:  # she measures every particle; travelers collapse in place
+            intercept_resend(alg, slots, arrived, travelers, rng)
+        errors = verify_decoys(alg, plan, arrived, rng)
         decoy_checks.append(DecoyCheckResult(hop, errors, d, errors == 0, hop == eve_hop))
 
+    pairs = alg.bell_pairs(codes)
     ship(0, pairs)
-    probes = [_PROBE] * m
-    composites: list[int] = []
+    composites: list[PauliKey] = []
+    applied: list[int] = []  # the key codes the last colluder applies to the genuine particles
     for k in range(1, n + 1):
         if collusion and k == 1:
             # the first colluder encodes the genuine particles and relays them
             # privately; the chain carries the probe halves instead
-            pairs = _encode_codes(pairs, codes[0])
+            pairs = encode_key(alg, pairs, key_codes[0])
+            probes = alg.bell_pairs([_PROBE] * m)
             ship(1, probes)
         elif collusion and k == n:
-            draws = rng.random(m).tolist()
-            composites = [labels.bell_outcome(p, u) ^ _PROBE for p, u in zip(probes, draws)]
-            pairs = _encode_codes(pairs, [own ^ c for own, c in zip(codes[n - 1], composites)])
+            composites = read_probes(alg, probes, rng)
+            applied = [own ^ (2 * u + v) for own, (u, v) in zip(key_codes[n - 1], composites)]
+            pairs = encode_key(alg, pairs, applied)
             ship(n, pairs)
         elif collusion:
-            probes = _encode_codes(probes, codes[k - 1])
+            probes = encode_key(alg, probes, key_codes[k - 1])
             ship(k, probes)
         else:
-            pairs = _encode_codes(pairs, codes[k - 1])
+            pairs = encode_key(alg, pairs, key_codes[k - 1])
             ship(k, pairs)
 
     improved = None
     sampled: set[int] = set()
     if config.check == "improved":
-        improved = _improved_check_codes(pairs, prepared, keys, codes, config.check_fraction, rng)
+        improved = improved_check(alg, pairs, prepared, config.check_fraction, keys, rng)
         sampled = set(improved.sampled_positions)
 
     payload_positions = [p for p in range(1, m + 1) if p not in sampled]
-    payload = [pairs[p - 1] for p in payload_positions]
-    draws = rng.random(len(payload)).tolist() if payload else []
-    readout = [qcore.BELL_LABELS[labels.bell_outcome(pair, u)] for pair, u in zip(payload, draws)]
+    draws = rng.random(len(payload_positions)).tolist()
+    readout = [
+        BELL_LABELS[alg.bell_outcome(pairs[p - 1], u)] for p, u in zip(payload_positions, draws)
+    ]
     prepared_payload = [prepared[p - 1] for p in payload_positions]
 
     attacker_bits = None
     if collusion:
+        # the pairs carry the first colluder's key and then `applied`
         attacker_bits = []
         for p in payload_positions:
-            total = codes[0][p - 1] ^ composites[p - 1] ^ codes[n - 1][p - 1]
+            total = key_codes[0][p - 1] ^ applied[p - 1]
             attacker_bits.extend((total >> 1, total & 1))
-
-    detected = any(not c.passed for c in decoy_checks) or (
-        improved is not None and not improved.passed
-    )
-    return Transcript(
-        config=config,
-        prepared=prepared,
-        participant_keys=keys,
-        decoy_checks=decoy_checks,
-        improved_check=improved,
-        payload_positions=payload_positions,
-        readout=readout,
-        extracted_secret=extract_secret(prepared_payload, readout),
-        attacker_secret=attacker_bits,
-        recovered_composites=[labels.KEYS[c] for c in composites] if collusion else None,
-        detected=detected,
-    )
-
-
-def run_distribution_dense(config: ScenarioConfig, rng: np.random.Generator) -> Transcript:
-    """Execute one full distribution run on dense state vectors.
-
-    This is the reference engine that certifies the label engine. Each
-    pair register is a two-qubit `PureState` and each decoy a one-qubit
-    one. The attack of `config.attack` runs inline: the colluders swap in
-    probe pairs at hop 1 and Bell-measure them at hop n, and Eve measures
-    every particle of hop n. All randomness is drawn from `rng` in a fixed
-    order, so a fixed generator state reproduces the run bit for bit.
-    """
-    config.validate()
-    n, m, d = config.n, config.m, config.d
-    prepared, pairs = prepare_epr_sequence(m, rng)
-    keys = []
-    for owner in range(1, n + 1):
-        bits = rng.integers(0, 2, size=(m, 2))
-        keys.append(ParticipantKey(owner, [PauliKey(int(u), int(v)) for u, v in bits]))
-    collusion = config.attack == "collusion"
-    eve_hop = n if config.attack == "intercept_resend" else None
-    decoy_checks: list[DecoyCheckResult] = []
-
-    def ship(hop: int, travelers: list[PureState]) -> None:
-        decoys = insert_decoys(len(travelers), d, rng)
-        arrived = [qcore.eigenstate(rec.basis, rec.value) for rec in decoys]
-        if hop == eve_hop:
-            intercept_resend(decoys, arrived, travelers, rng)
-        errors = verify_decoys(decoys, arrived, rng)
-        decoy_checks.append(DecoyCheckResult(hop, errors, d, errors == 0, hop == eve_hop))
-
-    ship(0, pairs)
-    probes = [qcore.bell_state(adversary.PROBE_LABEL)] * m
-    composites: list[PauliKey] = []
-    for k in range(1, n + 1):
-        if collusion and k == 1:
-            # the first colluder encodes the genuine particles and relays them
-            # privately; the chain carries the probe halves instead
-            pairs = encode_key(pairs, keys[0].keys)
-            ship(1, probes)
-        elif collusion and k == n:
-            composites = read_probes(probes, rng)
-            pairs = encode_key(pairs, [own ^ c for own, c in zip(keys[n - 1].keys, composites)])
-            ship(n, pairs)
-        elif collusion:
-            probes = encode_key(probes, keys[k - 1].keys)
-            ship(k, probes)
-        else:
-            pairs = encode_key(pairs, keys[k - 1].keys)
-            ship(k, pairs)
-
-    improved = None
-    sampled: set[int] = set()
-    if config.check == "improved":
-        improved = improved_check(pairs, prepared, config.check_fraction, keys, rng)
-        sampled = set(improved.sampled_positions)
-
-    payload_positions = [p for p in range(1, m + 1) if p not in sampled]
-    readout = [
-        qcore.bell_measure(pairs[p - 1], rng)[0]
-        for p in payload_positions
-    ]
-    prepared_payload = [prepared[p - 1] for p in payload_positions]
-
-    attacker_bits: Optional[list[int]] = None
-    if collusion:
-        attacker_bits = []
-        for p in payload_positions:
-            total = keys[0].keys[p - 1] ^ composites[p - 1] ^ keys[n - 1].keys[p - 1]
-            attacker_bits.extend(total)
 
     detected = any(not c.passed for c in decoy_checks) or (
         improved is not None and not improved.passed
@@ -551,3 +389,25 @@ def run_distribution_dense(config: ScenarioConfig, rng: np.random.Generator) -> 
         recovered_composites=composites if collusion else None,
         detected=detected,
     )
+
+
+def run_distribution(config: ScenarioConfig, rng: np.random.Generator) -> Transcript:
+    """Execute one full distribution run on label codes and return its transcript.
+
+    The run plays the attack of `config.attack` with the closed-form rules
+    of `labels`. `run_distribution_dense` plays the same run on state
+    vectors and draws from `rng` in the same fixed order, so a fixed
+    generator state reproduces the run bit for bit on either algebra, up to
+    the threshold rounding described in the `labels` docstring.
+    """
+    return _run(labels, config, rng)
+
+
+def run_distribution_dense(config: ScenarioConfig, rng: np.random.Generator) -> Transcript:
+    """Execute the same run on `qcore` state vectors: the reference for the label rules.
+
+    Each pair register is a two-qubit `PureState` and each decoy a one-qubit
+    one; every decoy of every hop is measured, and `qcore` samples every
+    outcome from the run's draw.
+    """
+    return _run(DENSE, config, rng)

@@ -15,6 +15,7 @@ from qsschain.config import ScenarioConfig
 from qsschain.qcore import Basis, BellLabel, PauliKey
 
 ALL_KEYS = [PauliKey(u, v) for u in (0, 1) for v in (0, 1)]
+DENSE = protocol.DENSE
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
@@ -86,6 +87,16 @@ class TestBrokenCollusionRule:
         assert captured.out == ""
         assert captured.err.startswith("error: collusion exactness proof failed: ")
 
+    def test_the_run_reads_probes_with_the_rule(self):
+        """Both algebras turn probe outcomes into composites with `recover_composite`."""
+        config = ScenarioConfig(n=5, m=8, d=2, attack="collusion", trials=1, seed=61)
+        for run in (protocol.run_distribution, protocol.run_distribution_dense):
+            transcript = run(config, np.random.default_rng(61))
+            middle = transcript.participant_keys[1:-1]
+            genuine = [protocol.key_total(middle, p) for p in range(1, config.m + 1)]
+            assert genuine != [PauliKey(0, 0)] * config.m
+            assert transcript.recovered_composites == [PauliKey(0, 0)] * config.m
+
     def test_verify_fails_the_collusion_suite(self, capsys, monkeypatch):
         monkeypatch.setattr(checks, "DIFFERENTIAL_TRIALS", 1)
         code = cli.main(["verify"])
@@ -115,13 +126,14 @@ class TestCollusionPieces:
 
     def test_untouched_probes_read_zero_composite(self):
         probes = [qcore.bell_state(adversary.PROBE_LABEL)] * 4
-        assert protocol.read_probes(probes, np.random.default_rng(3)) == [PauliKey(0, 0)] * 4
+        composites = protocol.read_probes(DENSE, probes, np.random.default_rng(3))
+        assert composites == [PauliKey(0, 0)] * 4
 
     def test_probe_halves_accumulate_middle_keys(self):
         middle = [PauliKey(1, 0), PauliKey(0, 1), PauliKey(1, 1)]
         probes = [qcore.bell_state(adversary.PROBE_LABEL)] * 3
-        probes = protocol.encode_key(probes, middle)
-        assert protocol.read_probes(probes, np.random.default_rng(2)) == middle
+        probes = protocol.encode_key(DENSE, probes, [2 * u + v for u, v in middle])
+        assert protocol.read_probes(DENSE, probes, np.random.default_rng(2)) == middle
 
 
 class TestCollusionEndToEnd:
@@ -174,10 +186,10 @@ class TestInterceptResend:
     def test_decoy_error_rate_near_quarter(self):
         rng = np.random.default_rng(6)
         total = 4000
-        decoys = protocol.insert_decoys(0, total, rng)
-        arrived = [qcore.eigenstate(rec.basis, rec.value) for rec in decoys]
-        protocol.intercept_resend(decoys, arrived, [], rng)
-        errors = protocol.verify_decoys(decoys, arrived, rng)
+        slots, plan = protocol.insert_decoys(0, total, rng)
+        arrived = DENSE.eigenstates(plan)
+        protocol.intercept_resend(DENSE, slots, arrived, [], rng)
+        errors = protocol.verify_decoys(DENSE, plan, arrived, rng)
         rate = errors / total
         assert abs(rate - 0.25) < 3 * math.sqrt(0.25 * 0.75 / total)
 
@@ -192,13 +204,13 @@ class TestInterceptResend:
             )
 
         rng = np.random.default_rng(19)
-        _, pairs = protocol.prepare_epr_sequence(5, rng)
-        decoys = protocol.insert_decoys(len(pairs), 4, rng)
+        pairs = DENSE.bell_pairs([0, 1, 2, 3, 1])
+        slots, plan = protocol.insert_decoys(len(pairs), 4, rng)
         # a state certain in neither basis, so only a measurement makes it certain
         tilted = qcore.PureState(1, np.array([math.cos(math.pi / 8), math.sin(math.pi / 8)]))
-        arrived = [tilted] * len(decoys)
+        arrived = [tilted] * len(plan)
         assert not certain(tilted, 0)
-        protocol.intercept_resend(decoys, arrived, pairs, rng)
+        protocol.intercept_resend(DENSE, slots, arrived, pairs, rng)
         assert all(certain(state, 0) for state in arrived)
         assert all(certain(pair, protocol.TRAVELING_QUBIT) for pair in pairs)
         assert all(certain(pair, protocol.RETAINED_QUBIT) for pair in pairs)

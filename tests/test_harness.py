@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import pytest
 
-from qsschain import harness, protocol
+from qsschain import harness, labels, protocol
 from qsschain.config import ConfigError, ScenarioConfig
 from qsschain.harness import ReportWriteError, RunReport
 
@@ -160,6 +160,16 @@ class TestExactDetection:
         values = [harness.exact_detection("intercept_resend", d) for d in range(9)]
         assert values == sorted(values)
         assert values[-1] < 1.0
+
+    def test_enumerations_run_once(self, monkeypatch):
+        first = harness.exact_detection("intercept_resend", 3, sampled=2)
+
+        def refuse(*args):
+            raise AssertionError("a label rule was called again")
+
+        for name in ("measure", "measure_qubit"):
+            monkeypatch.setattr(labels, name, refuse)
+        assert harness.exact_detection("intercept_resend", 3, sampled=2) == first
 
     def test_collusion_is_exactly_zero(self):
         assert harness.exact_detection("collusion", 8) == 0.0

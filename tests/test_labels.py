@@ -1,4 +1,4 @@
-"""Label-engine tests: rule certification, engine dispatch, differential replay."""
+"""Label-engine tests: rule certification, algebra dispatch, differential replay."""
 
 import numpy as np
 import pytest
@@ -39,3 +39,43 @@ def test_even_split_threshold_is_exactly_one_half():
     assert (labels.outcome(p0, 0.5 - 2.0**-53), labels.outcome(p0, 0.5)) == (0, 1)
     assert labels.bell_outcome(labels.product(0, 0), np.nextafter(0.5, 0)) == 0
     assert labels.bell_outcome(labels.product(0, 0), 0.5) == 1
+
+
+@pytest.mark.parametrize("attack", ATTACK_KINDS)
+def test_dense_run_samples_every_measurement_through_qcore(attack, monkeypatch):
+    """Every decoy of every hop, every sampled pair and every Bell readout is a qcore call."""
+    calls = {"measure_in_basis": 0, "bell_measure": 0, "states": 0}
+    for name in ("measure_in_basis", "bell_measure"):
+        def counted(*args, _name=name, _rule=getattr(qcore, name)):
+            calls[_name] += 1
+            return _rule(*args)
+
+        monkeypatch.setattr(qcore, name, counted)
+    post_init = qcore.PureState.__post_init__
+
+    def counted_state(self):
+        calls["states"] += 1
+        post_init(self)
+
+    monkeypatch.setattr(qcore.PureState, "__post_init__", counted_state)
+    n, m, d, sampled = 3, 4, 2, 2
+    config = ScenarioConfig(n=n, m=m, d=d, attack=attack, check="improved", trials=1, seed=5)
+    protocol.run_distribution_dense(config, harness.trial_generator(5, 0))
+    eve = d + m if attack == "intercept_resend" else 0
+    probes = m if attack == "collusion" else 0
+    assert calls["measure_in_basis"] == (n + 1) * d + eve + 2 * sampled
+    assert calls["bell_measure"] == probes + m - sampled
+    assert calls["states"] > 0
+
+
+def test_differential_sweep_sees_a_wrong_bell_rule_on_products(monkeypatch):
+    monkeypatch.setattr(checks, "DIFFERENTIAL_TRIALS", 1)
+    true_rule = labels.bell_outcome
+
+    def wrong_on_products(pair, u):
+        return true_rule(pair, u) if pair < 4 else 3 - true_rule(pair, u)
+
+    monkeypatch.setattr(labels, "bell_outcome", wrong_on_products)
+    result = checks.differential_sweep()
+    assert result.cases == 72
+    assert result.failures

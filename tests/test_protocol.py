@@ -6,48 +6,59 @@ import math
 import numpy as np
 import pytest
 
-from qsschain import protocol, qcore
+from qsschain import labels, protocol, qcore
 from qsschain.config import ATTACK_KINDS, ConfigError, ScenarioConfig
 from qsschain.protocol import ParticipantKey, TRAVELING_QUBIT
-from qsschain.qcore import Basis, BellLabel, PauliKey
+from qsschain.qcore import BELL_LABELS, Basis, BellLabel, PauliKey
 
 ALL_LABELS = [BellLabel(x, y) for x in (0, 1) for y in (0, 1)]
 ALL_KEYS = [PauliKey(u, v) for u in (0, 1) for v in (0, 1)]
+DENSE = protocol.DENSE
+ALGEBRAS = [pytest.param(labels, id="labels"), pytest.param(DENSE, id="dense")]
 
 
-def decoy_states(decoys):
-    return [qcore.eigenstate(rec.basis, rec.value) for rec in decoys]
+def key_codes(keys):
+    return [2 * u + v for u, v in keys]
 
 
 class TestPrepare:
+    @pytest.mark.parametrize("alg", ALGEBRAS)
+    def test_registers_read_out_as_their_codes(self, alg):
+        pairs = alg.bell_pairs(range(4))
+        assert [alg.bell_outcome(pair, 0.5) for pair in pairs] == [0, 1, 2, 3]
+
     def test_states_match_labels(self):
-        prepared, pairs = protocol.prepare_epr_sequence(3, np.random.default_rng(0))
-        assert len(prepared) == len(pairs) == 3
-        for label, pair in zip(prepared, pairs):
+        for label, pair in zip(BELL_LABELS, DENSE.bell_pairs(range(4))):
             assert qcore.equal_up_to_phase(pair, qcore.bell_state(label))
 
     def test_seed_reproduces_labels(self):
-        first, _ = protocol.prepare_epr_sequence(32, np.random.default_rng(41))
-        second, _ = protocol.prepare_epr_sequence(32, np.random.default_rng(41))
+        config = ScenarioConfig(n=2, m=32, d=0, trials=1, seed=41)
+        first = protocol.run_distribution_dense(config, np.random.default_rng(41)).prepared
+        second = protocol.run_distribution_dense(config, np.random.default_rng(41)).prepared
         assert first == second
 
     def test_labels_cover_all_four(self):
-        prepared, _ = protocol.prepare_epr_sequence(200, np.random.default_rng(1))
+        config = ScenarioConfig(n=2, m=200, d=0, trials=1, seed=1)
+        prepared = protocol.run_distribution_dense(config, np.random.default_rng(1)).prepared
         assert {tuple(label) for label in prepared} == {(0, 0), (0, 1), (1, 0), (1, 1)}
 
 
 class TestDecoyPlanning:
     @pytest.mark.parametrize("seq_len,d", [(0, 1), (5, 0), (5, 3), (1, 8)])
     def test_layout_shape(self, seq_len, d):
-        decoys = protocol.insert_decoys(seq_len, d, np.random.default_rng(2))
-        slots = [rec.insert_position for rec in decoys]
-        assert len(decoys) == d
+        slots, plan = protocol.insert_decoys(seq_len, d, np.random.default_rng(2))
+        assert len(slots) == len(plan) == d
         assert slots == sorted(set(slots))
         assert all(0 <= slot < seq_len + d for slot in slots)
 
     def test_preparations_cover_all_four_states(self):
-        decoys = protocol.insert_decoys(0, 400, np.random.default_rng(3))
-        seen = {(rec.basis, rec.value) for rec in decoys}
+        _, plan = protocol.insert_decoys(0, 400, np.random.default_rng(3))
+        decoys = DENSE.eigenstates(plan)
+        seen = set()
+        for code, decoy in zip(plan, decoys):
+            basis, value = labels.BASES[code >> 1], code & 1
+            assert qcore.equal_up_to_phase(decoy, qcore.eigenstate(basis, value))
+            seen.add((basis, value))
         assert seen == {(b, v) for b in (Basis.Z, Basis.X) for v in (0, 1)}
 
     def test_seed_reproduces_plan(self):
@@ -56,60 +67,60 @@ class TestDecoyPlanning:
         assert first == second
 
 
+@pytest.mark.parametrize("alg", ALGEBRAS)
 class TestDecoyVerification:
-    def test_untampered_decoys_verify_clean(self):
+    def test_untampered_decoys_verify_clean(self, alg):
         rng = np.random.default_rng(6)
-        decoys = protocol.insert_decoys(4, 16, rng)
-        assert protocol.verify_decoys(decoys, decoy_states(decoys), rng) == 0
+        _, plan = protocol.insert_decoys(4, 16, rng)
+        assert protocol.verify_decoys(alg, plan, alg.eigenstates(plan), rng) == 0
 
-    def test_tampered_decoy_is_caught(self):
+    def test_tampered_decoy_is_caught(self, alg):
         rng = np.random.default_rng(7)
-        decoys = protocol.insert_decoys(0, 1, rng)
+        _, plan = protocol.insert_decoys(0, 1, rng)
         # the decoy arrives in the orthogonal state of its preparation basis
-        arrived = [qcore.eigenstate(decoys[0].basis, decoys[0].value ^ 1)]
-        assert protocol.verify_decoys(decoys, arrived, rng) == 1
+        arrived = alg.eigenstates([plan[0] ^ 1])
+        assert protocol.verify_decoys(alg, plan, arrived, rng) == 1
 
-    def test_error_count_counts_each_flipped_decoy(self):
+    def test_error_count_counts_each_flipped_decoy(self, alg):
         rng = np.random.default_rng(8)
-        decoys = protocol.insert_decoys(3, 8, rng)
-        arrived = decoy_states(decoys)
+        _, plan = protocol.insert_decoys(3, 8, rng)
         flipped = (0, 2, 5)
-        for i in flipped:
-            arrived[i] = qcore.eigenstate(decoys[i].basis, decoys[i].value ^ 1)
-        assert protocol.verify_decoys(decoys, arrived, rng) == len(flipped)
+        arrived = alg.eigenstates([code ^ (i in flipped) for i, code in enumerate(plan)])
+        assert protocol.verify_decoys(alg, plan, arrived, rng) == len(flipped)
 
-    def test_no_decoys_passes(self):
-        assert protocol.verify_decoys([], [], np.random.default_rng(0)) == 0
+    def test_no_decoys_passes(self, alg):
+        assert protocol.verify_decoys(alg, [], [], np.random.default_rng(0)) == 0
 
-    def test_arrived_count_must_match(self):
+    def test_arrived_count_must_match(self, alg):
         rng = np.random.default_rng(9)
-        decoys = protocol.insert_decoys(1, 2, rng)
+        _, plan = protocol.insert_decoys(1, 2, rng)
         with pytest.raises(ValueError):
-            protocol.verify_decoys(decoys, decoy_states(decoys)[:1], rng)
+            protocol.verify_decoys(alg, plan, alg.eigenstates(plan)[:1], rng)
 
 
 class TestEncodeKey:
     def test_zero_keys_are_identity(self):
-        _, pairs = protocol.prepare_epr_sequence(4, np.random.default_rng(10))
-        encoded = protocol.encode_key(pairs, [PauliKey(0, 0)] * 4)
+        pairs = DENSE.bell_pairs([0, 1, 2, 3])
+        encoded = protocol.encode_key(DENSE, pairs, [0] * 4)
         for before, after in zip(pairs, encoded):
             np.testing.assert_allclose(after.amplitudes, before.amplitudes)
 
     def test_bit_flip_key_shifts_x(self):
-        [encoded] = protocol.encode_key([qcore.bell_state(BellLabel(0, 0))], [PauliKey(1, 0)])
+        [encoded] = protocol.encode_key(DENSE, DENSE.bell_pairs([0]), key_codes([PauliKey(1, 0)]))
         assert qcore.equal_up_to_phase(encoded, qcore.bell_state(BellLabel(1, 0)))
 
     def test_double_encode_is_involution(self):
-        prepared, pairs = protocol.prepare_epr_sequence(3, np.random.default_rng(11))
-        keys = [PauliKey(1, 1), PauliKey(0, 1), PauliKey(1, 0)]
-        twice = protocol.encode_key(protocol.encode_key(pairs, keys), keys)
-        for label, pair in zip(prepared, twice):
-            assert qcore.equal_up_to_phase(pair, qcore.bell_state(label))
+        codes = [3, 0, 2]
+        keys = key_codes([PauliKey(1, 1), PauliKey(0, 1), PauliKey(1, 0)])
+        once = protocol.encode_key(DENSE, DENSE.bell_pairs(codes), keys)
+        twice = protocol.encode_key(DENSE, once, keys)
+        for code, pair in zip(codes, twice):
+            assert qcore.equal_up_to_phase(pair, qcore.bell_state(BELL_LABELS[code]))
 
-    def test_key_count_mismatch(self):
-        _, pairs = protocol.prepare_epr_sequence(2, np.random.default_rng(0))
+    @pytest.mark.parametrize("alg", ALGEBRAS)
+    def test_key_count_mismatch(self, alg):
         with pytest.raises(ValueError):
-            protocol.encode_key(pairs, [PauliKey(0, 0)])
+            protocol.encode_key(alg, alg.bell_pairs([0, 1]), [0])
 
 
 class TestKeyTotal:
@@ -186,12 +197,14 @@ class TestDeduceParity:
 
 class TestImprovedCheck:
     def _setup(self, m, n_participants, rng):
-        prepared, pairs = protocol.prepare_epr_sequence(m, rng)
+        codes = rng.integers(0, 4, size=m).tolist()
+        prepared = [BELL_LABELS[code] for code in codes]
+        pairs = DENSE.bell_pairs(codes)
         keys = []
         for owner in range(1, n_participants + 1):
             bits = rng.integers(0, 2, size=(m, 2))
             key = ParticipantKey(owner, [PauliKey(int(u), int(v)) for u, v in bits])
-            pairs = protocol.encode_key(pairs, key.keys)
+            pairs = protocol.encode_key(DENSE, pairs, key_codes(key.keys))
             keys.append(key)
         return pairs, prepared, keys
 
@@ -199,7 +212,7 @@ class TestImprovedCheck:
         for seed in range(25):
             rng = np.random.default_rng(seed)
             pairs, prepared, keys = self._setup(8, 3, rng)
-            result = protocol.improved_check(pairs, prepared, 0.5, keys, rng)
+            result = protocol.improved_check(DENSE, pairs, prepared, 0.5, keys, rng)
             assert result.passed
             assert len(result.entries) == 4
             for entry in result.entries:
@@ -212,14 +225,14 @@ class TestImprovedCheck:
     def test_sample_size_is_ceil(self, m, fraction, expected):
         rng = np.random.default_rng(13)
         pairs, prepared, keys = self._setup(m, 2, rng)
-        result = protocol.improved_check(pairs, prepared, fraction, keys, rng)
+        result = protocol.improved_check(DENSE, pairs, prepared, fraction, keys, rng)
         assert len(result.entries) == expected
         assert math.ceil(fraction * m) == expected
 
     def test_sampled_pairs_are_consumed(self):
         rng = np.random.default_rng(15)
         pairs, prepared, keys = self._setup(4, 2, rng)
-        result = protocol.improved_check(pairs, prepared, 1.0, keys, rng)
+        result = protocol.improved_check(DENSE, pairs, prepared, 1.0, keys, rng)
         assert sorted(result.sampled_positions) == [1, 2, 3, 4]
         for entry in result.entries:
             measured = np.kron(
@@ -253,7 +266,7 @@ class TestImprovedCheck:
                     qcore.eigenstate(Basis.Z, 0).amplitudes,
                 ),
             )
-            result = protocol.improved_check(pairs, prepared, 1.0, keys, rng)
+            result = protocol.improved_check(DENSE, pairs, prepared, 1.0, keys, rng)
             mismatches += 0 if result.passed else 1
         rate = mismatches / trials
         assert abs(rate - 0.5) < 3 * math.sqrt(0.25 / trials)
@@ -268,7 +281,7 @@ class TestImprovedCheck:
                 1, 2, np.random.default_rng(int(rng.integers(2**32)))
             )
             _, pairs[0] = qcore.measure_in_basis(pairs[0], TRAVELING_QUBIT, Basis.Z, rng)
-            result = protocol.improved_check(pairs, prepared, 1.0, keys, rng)
+            result = protocol.improved_check(DENSE, pairs, prepared, 1.0, keys, rng)
             mismatches += 0 if result.passed else 1
         rate = mismatches / trials
         assert abs(rate - 0.25) < 3 * math.sqrt(0.25 * 0.75 / trials)
