@@ -37,7 +37,7 @@ from __future__ import annotations
 import itertools
 
 from . import labels, qcore
-from .qcore import BellLabel, PauliKey
+from .qcore import BELL_LABELS, BellLabel, PauliKey
 
 PROBE_LABEL = BellLabel(1, 1)
 
@@ -63,18 +63,17 @@ def collusion_failures() -> list[str]:
     genuine, so no check has anything to fire on. Empty when it holds.
     """
     failures = []
-    for composite in labels.KEYS:
-        probe = qcore.apply_pauli(qcore.bell_state(PROBE_LABEL), 1, composite)
-        outcome_probs = qcore.bell_probabilities(probe)
-        certain = [lab for lab, p in outcome_probs.items() if p > 1.0 - 1e-12]
+    probe = qcore.bell_state(BELL_LABELS.index(PROBE_LABEL))
+    for composite, key in enumerate(labels.KEYS):
+        probs = qcore.bell_probabilities(qcore.pauli(probe, composite))
+        certain = [BELL_LABELS[code] for code, p in enumerate(probs) if p > 1.0 - 1e-12]
         if len(certain) != 1:
-            failures.append(f"probe outcome not certain for composite {tuple(composite)}")
-        elif recover_composite(certain[0]) != composite:
-            failures.append(f"composite {tuple(composite)} not recovered from {tuple(certain[0])}")
-        for boundary, prepared in itertools.product(labels.KEYS, qcore.BELL_LABELS):
-            total = composite ^ boundary
-            shifted = qcore.apply_pauli(qcore.bell_state(prepared), 1, total)
-            probs = qcore.bell_probabilities(shifted)
-            if not probs[BellLabel(prepared.x ^ total.u, prepared.y ^ total.v)] > 1.0 - 1e-12:
-                failures.append(f"readout not certain for {tuple(prepared)} under {tuple(total)}")
+            failures.append(f"probe outcome not certain for composite {tuple(key)}")
+        elif recover_composite(certain[0]) != key:
+            failures.append(f"composite {tuple(key)} not recovered from {tuple(certain[0])}")
+        for boundary, prepared in itertools.product(range(4), range(4)):
+            total = composite ^ boundary  # a key code XORs onto the Bell code it acts on
+            probs = qcore.bell_probabilities(qcore.pauli(qcore.bell_state(prepared), total))
+            if not probs[prepared ^ total] > 1.0 - 1e-12:
+                failures.append(f"readout not certain for Bell code {prepared} under key {total}")
     return failures

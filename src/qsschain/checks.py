@@ -16,7 +16,7 @@ import numpy as np
 from . import adversary, harness, labels, protocol, qcore
 from .config import ATTACK_KINDS, CHECK_KINDS, ScenarioConfig
 from .labels import KEYS
-from .qcore import BELL_LABELS, Basis
+from .qcore import BELL_LABELS
 
 
 @dataclass
@@ -33,38 +33,36 @@ class CheckResult:
 def pauli_bell_label_table() -> CheckResult:
     """16 cases: every key on every Bell label, state vs the label engine's rule."""
     failures = []
-    for pair, key in itertools.product(range(4), range(4)):
-        label, predicted = BELL_LABELS[pair], BELL_LABELS[labels.pauli(pair, key)]
-        shifted = qcore.apply_pauli(qcore.bell_state(label), 1, KEYS[key])
+    for (pair, label), (key, bits) in itertools.product(enumerate(BELL_LABELS), enumerate(KEYS)):
+        predicted = labels.pauli(pair, key)
+        shifted = qcore.pauli(qcore.bell_state(pair), key)
         if not qcore.equal_up_to_phase(shifted, qcore.bell_state(predicted)):
-            failures.append(f"label {tuple(label)} key {tuple(KEYS[key])}: not {tuple(predicted)}")
+            predicted = tuple(BELL_LABELS[predicted])
+            failures.append(f"label {tuple(label)} key {tuple(bits)}: not {predicted}")
     return CheckResult("pauli/bell label table", 16, failures)
 
 
 def composition_law_table() -> CheckResult:
     """64 cases: composing two keys equals the XOR key on every Bell input."""
     failures = []
-    for key1, key2 in itertools.product(KEYS, KEYS):
-        for label in BELL_LABELS:
-            sequential = qcore.apply_pauli(
-                qcore.apply_pauli(qcore.bell_state(label), 1, key1), 1, key2
-            )
-            direct = qcore.apply_pauli(qcore.bell_state(label), 1, key1 ^ key2)
+    for (key1, bits1), (key2, bits2) in itertools.product(enumerate(KEYS), repeat=2):
+        for pair, label in enumerate(BELL_LABELS):
+            sequential = qcore.pauli(qcore.pauli(qcore.bell_state(pair), key1), key2)
+            direct = qcore.pauli(qcore.bell_state(pair), key1 ^ key2)
             if not qcore.equal_up_to_phase(sequential, direct):
                 failures.append(
-                    f"keys {tuple(key1)},{tuple(key2)} on {tuple(label)}: "
+                    f"keys {tuple(bits1)},{tuple(bits2)} on {tuple(label)}: "
                     "composition is not the XOR key"
                 )
     return CheckResult("pauli composition law", 64, failures)
 
 
-def _joint_parity_distribution(state: qcore.PureState, basis: Basis) -> dict[int, float]:
+def _joint_parity_distribution(state: qcore.PureState, basis: int) -> dict[int, float]:
     # brute force over both-qubit outcomes with explicit product projectors
     dist = {0: 0.0, 1: 0.0}
     for a, b in itertools.product((0, 1), repeat=2):
-        projector = np.kron(
-            qcore.eigenstate(basis, a).amplitudes, qcore.eigenstate(basis, b).amplitudes
-        )
+        first, second = qcore.eigenstates([2 * basis + a, 2 * basis + b])
+        projector = np.kron(first.amplitudes, second.amplitudes)
         dist[a ^ b] += float(abs(np.vdot(projector, state.amplitudes)) ** 2)
     return dist
 
@@ -72,9 +70,9 @@ def _joint_parity_distribution(state: qcore.PureState, basis: Basis) -> dict[int
 def parity_rule_table() -> CheckResult:
     """32 cases: deduced parity vs brute-force both-qubit statistics."""
     failures = []
-    for label, total, basis in itertools.product(BELL_LABELS, KEYS, (Basis.Z, Basis.X)):
-        state = qcore.apply_pauli(qcore.bell_state(label), 1, total)
-        dist = _joint_parity_distribution(state, basis)
+    grid = itertools.product(enumerate(BELL_LABELS), enumerate(KEYS), enumerate(labels.BASES))
+    for (pair, label), (key, total), (code, basis) in grid:
+        dist = _joint_parity_distribution(qcore.pauli(qcore.bell_state(pair), key), code)
         rule = protocol.deduce_parity(label, total, basis)
         if not dist[rule] > 1.0 - 1e-12:
             failures.append(
@@ -121,16 +119,11 @@ def collusion_exactness() -> CheckResult:
 _RULE_TOL = 1e-12
 
 
-def _qubit_state(qubit: int) -> qcore.PureState:
-    return qcore.eigenstate((Basis.Z, Basis.X)[qubit >> 1], qubit & 1)
-
-
 def _pair_state(pair: int) -> qcore.PureState:
     if pair < 4:
-        return qcore.bell_state(BELL_LABELS[pair])
-    retained, traveling = divmod(pair - 4, 4)
-    amplitudes = np.kron(_qubit_state(retained).amplitudes, _qubit_state(traveling).amplitudes)
-    return qcore.PureState(2, amplitudes)
+        return qcore.bell_state(pair)
+    retained, traveling = qcore.eigenstates(divmod(pair - 4, 4))
+    return qcore.PureState(2, np.kron(retained.amplitudes, traveling.amplitudes))
 
 
 def _intervals(weights) -> list[tuple[int, float, float]]:
@@ -153,8 +146,7 @@ def _check_measurement(tag, rule, state, qubit, basis, to_state, failures) -> No
     for expected, first, last in _intervals((p0, 1 - p0)):
         if {labels.outcome(p0, first), labels.outcome(p0, last)} != {expected}:
             failures.append(f"{tag}: draws in [{first}, {last}] do not all pick {expected}")
-        u = (first + last) / 2
-        got, post = qcore.measure_in_basis(state, qubit, basis, protocol.FixedDraw(u))
+        got, post = qcore.collapse(state, qubit, basis, (first + last) / 2)
         if got != expected or not qcore.equal_up_to_phase(post, to_state(posts[expected]), _RULE_TOL):
             failures.append(f"{tag}: post-state of outcome {expected} differs")
 
@@ -175,7 +167,7 @@ def label_rule_table() -> CheckResult:
     pairs = range(20)
     for pair, key in itertools.product(pairs, range(4)):
         cases += 1
-        dense = qcore.apply_pauli(_pair_state(pair), 1, KEYS[key])
+        dense = qcore.pauli(_pair_state(pair), key)
         if not qcore.equal_up_to_phase(dense, _pair_state(labels.pauli(pair, key)), _RULE_TOL):
             failures.append(f"pauli: pair {pair} key {key} is not pair {labels.pauli(pair, key)}")
     for pair, qubit, basis in itertools.product(pairs, (0, 1), (labels.Z, labels.X)):
@@ -183,26 +175,26 @@ def label_rule_table() -> CheckResult:
         _check_measurement(
             f"measure: pair {pair} qubit {qubit} basis {labels.BASES[basis].value}",
             labels.measure(pair, qubit, basis),
-            _pair_state(pair), qubit, labels.BASES[basis], _pair_state, failures,
+            _pair_state(pair), qubit, basis, _pair_state, failures,
         )
     for qubit, basis in itertools.product(range(4), (labels.Z, labels.X)):
         cases += 1
         _check_measurement(
             f"measure: decoy {qubit} basis {labels.BASES[basis].value}",
             labels.measure_qubit(qubit, basis),
-            _qubit_state(qubit), 0, labels.BASES[basis], _qubit_state, failures,
+            qcore.eigenstate(qubit), 0, basis, qcore.eigenstate, failures,
         )
     for pair in pairs:
         cases += 1
         weights = [q / 4 for q in labels.bell_quarters(pair)]
         dense = qcore.bell_probabilities(_pair_state(pair))
-        if max(abs(w - dense[label]) for w, label in zip(weights, BELL_LABELS)) > _RULE_TOL:
+        if max(abs(w - p) for w, p in zip(weights, dense)) > _RULE_TOL:
             failures.append(f"bell: pair {pair} probabilities {weights} differ from state vector")
             continue
         for expected, first, last in _intervals(weights):
-            label, _ = qcore.bell_measure(_pair_state(pair), protocol.FixedDraw((first + last) / 2))
             picked = {labels.bell_outcome(pair, first), labels.bell_outcome(pair, last)}
-            if picked != {expected} or label != BELL_LABELS[expected]:
+            picked.add(qcore.bell_outcome(_pair_state(pair), (first + last) / 2))
+            if picked != {expected}:
                 failures.append(f"bell: pair {pair} draws in [{first}, {last}] do not all pick {expected}")
     return CheckResult("label engine rules", cases, failures)
 

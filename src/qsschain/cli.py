@@ -1,6 +1,6 @@
 """Command-line front end.
 
-    qsschain run    [--scenario FILE] [field overrides] [--out PATH]
+    qsschain run    [--scenario FILE] [field overrides] [--out PATH] [--format json|csv]
     qsschain sweep  --axis FIELD --values V1,V2,... --out PATH [overrides]
     qsschain verify
 

@@ -15,7 +15,6 @@ import itertools
 import json
 import math
 import os
-import time
 from fractions import Fraction
 from dataclasses import dataclass
 from pathlib import Path
@@ -58,12 +57,7 @@ class ReportWriteError(OSError):
 
 @dataclass(frozen=True)
 class RunReport:
-    """Aggregated statistics of one scenario's trial batch.
-
-    `wall_time_s` is measured, not derived from the seed; it lives only in
-    memory and is not serialized, so written reports are bit-identical
-    across reruns of the same scenario.
-    """
+    """Aggregated statistics of one scenario's trial batch."""
 
     config: ScenarioConfig
     trials: int
@@ -73,7 +67,6 @@ class RunReport:
     secret_recovery_rate: Optional[float]
     per_decoy_error_rate: float
     exact_detection: Optional[float]
-    wall_time_s: float = 0.0
 
     def to_dict(self) -> dict:
         return {
@@ -143,7 +136,6 @@ def run_trials(config: ScenarioConfig, threads: int = 1) -> RunReport:
     config.validate()
     if isinstance(threads, bool) or not isinstance(threads, int) or threads < 1:
         raise ConfigError("threads", f"must be an integer >= 1, got {threads!r}")
-    started = time.perf_counter()
     detected = undetected_collusion = recovered = 0
     attacked_errors = attacked_decoys = all_errors = all_decoys = 0
     for index in range(config.trials):
@@ -184,7 +176,6 @@ def run_trials(config: ScenarioConfig, threads: int = 1) -> RunReport:
         secret_recovery_rate=recovery,
         per_decoy_error_rate=per_decoy,
         exact_detection=exact,
-        wall_time_s=time.perf_counter() - started,
     )
 
 

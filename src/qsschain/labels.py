@@ -4,14 +4,15 @@ Every state a run touches is a stabilizer state: Bell pairs under Pauli
 encodings, Z/X eigenstate decoys, and the product states that single-qubit
 Z/X measurements leave behind. Each has an exact finite description
 (Gottesman-Knill; Aaronson & Gottesman, "Improved simulation of stabilizer
-circuits", quant-ph/0406196, cut down to two-qubit registers):
+circuits", quant-ph/0406196, cut down to two-qubit registers). Keys, bases,
+outcomes and the codes below are those stated in `qcore`:
 
 * a single qubit in a Z/X eigenstate is coded ``2 * basis + value``
   (basis 0 = Z, 1 = X), 0..3;
 * a pair register (retained qubit 0, traveling qubit 1) is either the Bell
-  state |Psi_{x,y}>, coded ``2 * x + y`` (0..3, the index into
-  `qcore.BELL_LABELS`), or a product of two eigenstates, coded
-  ``4 + 4 * retained + traveling`` (4..19).
+  state |Psi_{x,y}>, coded ``2 * x + y`` (0..3), or a product of two
+  eigenstates, coded ``4 + 4 * retained + traveling`` (4..19), a code
+  only this module has.
 
 Pauli encodings, Z/X measurements and Bell measurements are the closed-form
 rules `pauli`, `measure_qubit`, `measure` and `bell_quarters`;
@@ -20,9 +21,10 @@ rules `pauli`, `measure_qubit`, `measure` and `bell_quarters`;
 
 `protocol.run_distribution` plays the protocol's one run on this module as
 its register algebra, resolving each rule here when it calls it, and
-`protocol.run_distribution_dense` plays it on `protocol.DENSE`, the same
-names over `qcore`. The run draws the uniforms itself, one per measurement
-even where the outcome is certain, so both algebras consume the generator
+`protocol.run_distribution_dense` plays it on the `qcore` module, which
+offers the same seven names over state vectors. The run draws the uniforms
+itself, one per measurement even where the outcome is certain, and hands
+each to the algebra as a float, so both algebras consume the generator
 alike. The rules' outcome thresholds (`outcome`, `bell_outcome`) are exact
 (1/2 and multiples of 1/4). The dense engine's are rounded: its p0 for an
 even split is 0.5 - 2**-53 or 0.5 - 2**-52, and its cumulative Bell

@@ -24,11 +24,11 @@ Two final verification variants are supported:
   particle shows up as a parity mismatch. Sampled pairs are consumed and
   excluded from the secret payload.
 
-The run is written once, in `_run`, over a register algebra: `bell_pairs`,
-`eigenstates`, `pauli`, `collapse`, `collapse_qubit`, `bell_outcome` and
-`decoys_intact`, with keys, bases and outcomes coded as in `labels`.
-`run_distribution` plays it on the `labels` module itself and
-`run_distribution_dense` on `DENSE`, the same names over `qcore` state
+The run is written once, in `_run`, over a register algebra: a module
+offering `bell_pairs`, `eigenstates`, `pauli`, `collapse`,
+`collapse_qubit`, `bell_outcome` and `decoys_intact` over the integer codes
+stated in `qcore`. `run_distribution` plays it on the `labels` module and
+`run_distribution_dense` on the `qcore` module, the dense algebra of state
 vectors. The run draws every uniform and hands it to the algebra, so a
 fixed generator state gives the same transcript on either. Each hop plans
 its decoys with `insert_decoys`; the steps `verify_decoys`, `encode_key`,
@@ -40,7 +40,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from types import SimpleNamespace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -116,35 +115,6 @@ class Transcript:
     attacker_secret: Optional[list[int]]
     recovered_composites: Optional[list[PauliKey]]
     detected: bool
-
-
-class FixedDraw:
-    """Generator stand-in whose `random()` returns a uniform the run already drew."""
-
-    def __init__(self, u: float) -> None:
-        self.u = u
-
-    def random(self) -> float:
-        return self.u
-
-
-# The register algebra of `labels` on `qcore` state vectors: the names the run
-# calls on `labels`, with the same codes for keys, bases and outcomes, but with
-# `PureState` registers (a pair holds the retained qubit 0 and the traveling
-# qubit 1). `qcore.measure_in_basis` and `qcore.bell_measure` sample every
-# outcome from the run's draw, handed over as a `FixedDraw`, and every decoy
-# is measured.
-DENSE = SimpleNamespace(
-    bell_pairs=lambda codes: [qcore.bell_state(BELL_LABELS[code]) for code in codes],
-    eigenstates=lambda codes: [qcore.eigenstate(labels.BASES[c >> 1], c & 1) for c in codes],
-    pauli=lambda pair, key: qcore.apply_pauli(pair, TRAVELING_QUBIT, labels.KEYS[key]),
-    collapse=lambda pair, qubit, basis, u: qcore.measure_in_basis(
-        pair, qubit, labels.BASES[basis], FixedDraw(u)
-    ),
-    collapse_qubit=lambda qubit, basis, u: DENSE.collapse(qubit, 0, basis, u),
-    bell_outcome=lambda pair, u: BELL_LABELS.index(qcore.bell_measure(pair, FixedDraw(u))[0]),
-    decoys_intact=lambda plan, arrived: False,
-)
 
 
 def _bit_pairs(rng: np.random.Generator, count: int) -> list[int]:
@@ -408,6 +378,6 @@ def run_distribution_dense(config: ScenarioConfig, rng: np.random.Generator) -> 
 
     Each pair register is a two-qubit `PureState` and each decoy a one-qubit
     one; every decoy of every hop is measured, and `qcore` samples every
-    outcome from the run's draw.
+    outcome from the uniform the run draws for it.
     """
-    return _run(DENSE, config, rng)
+    return _run(qcore, config, rng)

@@ -1,18 +1,21 @@
-"""Exact state-vector engine for the protocol's two registers.
+"""Exact state-vector engine for the protocol's two registers: the dense register algebra.
 
-Everything in the protocol reduces to a handful of primitives on dense
-complex amplitude vectors: preparing the four Bell states, applying the
-bit/phase Pauli encodings to one qubit, projective single-qubit measurement
-in the Z or X basis, and projective measurement of a pair in the Bell
-basis. A register is one decoy qubit or one pair, so dense vectors are both
-the simplest and the fastest honest representation.
+A register is one decoy qubit or one pair, so dense complex amplitude
+vectors are both the simplest and the fastest honest representation. The
+seven operations a run needs (`bell_pairs`, `eigenstates`, `pauli`,
+`collapse`, `collapse_qubit`, `bell_outcome`, `decoys_intact`) take the
+arguments of the closed-form rules in `labels`, over the same codes, with
+`PureState` registers in place of label codes, so `protocol._run` plays one
+run on either module.
 
 Conventions, fixed once here and relied on everywhere else:
 
 * Amplitude index: the first qubit (index 0) is the most significant bit,
-  so a two-qubit vector is ordered |00>, |01>, |10>, |11>.
+  so a two-qubit vector is ordered |00>, |01>, |10>, |11>. A pair holds
+  the retained qubit 0 and the traveling qubit 1.
 * Bell labels are bit pairs (x, y): x is the parity bit (0 for the 00/11
-  branch, 1 for 01/10), y is the phase bit (0 for +, 1 for -).
+  branch, 1 for 01/10), y is the phase bit (0 for +, 1 for -). The label
+  (x, y) is coded 2x + y, its index into BELL_LABELS.
 
       |Psi_00> = (|00> + |11>)/sqrt(2)
       |Psi_01> = (|00> - |11>)/sqrt(2)
@@ -20,13 +23,17 @@ Conventions, fixed once here and relied on everywhere else:
       |Psi_11> = (|01> - |10>)/sqrt(2)
 
 * Pauli encodings are keyed by bit pairs (u, v): U_{u,v} = X^u Z^v, with Z
-  applied first. Acting on the second qubit of |Psi_{x,y}> this shifts the
-  label to (x^u, y^v) up to a global phase.
+  applied first, coded 2u + v. Acting on the traveling qubit of
+  |Psi_{x,y}> this shifts the label to (x^u, y^v) up to a global phase, so
+  the key code XORs onto the label code.
+* Bases are coded 0 for Z and 1 for X (the index into `labels.BASES`), and
+  the eigenstate of basis b with outcome bit v is coded 2b + v.
 * Measurement outcomes are bits: |0>/|1> map to 0/1 in the Z basis and
   |+>/|-> map to 0/1 in the X basis.
 
-All states are normalized; every operation preserves the norm to within
-1e-9 and measurement collapse renormalizes explicitly. PureState values are
+Every entry point that takes a code checks its range. All states are
+normalized; every operation preserves the norm to within 1e-9 and
+measurement collapse renormalizes explicitly. PureState values are
 immutable: operations return new instances.
 """
 
@@ -35,7 +42,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -68,23 +75,27 @@ class Basis(enum.Enum):
 
 _SQRT_HALF = 1 / np.sqrt(2)
 
-# rows = eigenvectors for outcomes 0 and 1
-_EIGENVECTORS = {
-    Basis.Z: np.array([[1, 0], [0, 1]], dtype=complex),
-    Basis.X: np.array([[_SQRT_HALF, _SQRT_HALF], [_SQRT_HALF, -_SQRT_HALF]], dtype=complex),
-}
+# [basis code][outcome bit]: the eigenvector of that outcome
+_EIGENVECTORS = np.array(
+    [[[1, 0], [0, 1]], [[_SQRT_HALF, _SQRT_HALF], [_SQRT_HALF, -_SQRT_HALF]]], dtype=complex
+)
 
 _PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 _PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 
-_BELL_VECTORS = {
-    BellLabel(0, 0): np.array([_SQRT_HALF, 0, 0, _SQRT_HALF], dtype=complex),
-    BellLabel(0, 1): np.array([_SQRT_HALF, 0, 0, -_SQRT_HALF], dtype=complex),
-    BellLabel(1, 0): np.array([0, _SQRT_HALF, _SQRT_HALF, 0], dtype=complex),
-    BellLabel(1, 1): np.array([0, _SQRT_HALF, -_SQRT_HALF, 0], dtype=complex),
-}
+# [Bell code]: the amplitude vector of |Psi_{x,y}>
+_BELL_VECTORS = np.array(
+    [
+        [_SQRT_HALF, 0, 0, _SQRT_HALF],
+        [_SQRT_HALF, 0, 0, -_SQRT_HALF],
+        [0, _SQRT_HALF, _SQRT_HALF, 0],
+        [0, _SQRT_HALF, -_SQRT_HALF, 0],
+    ],
+    dtype=complex,
+)
+_BELL_BASIS_CONJ = _BELL_VECTORS.conj()  # rows project a pair onto the Bell states
 
-# fixed outcome ordering for Bell-basis sampling
+# Bell labels in code order, the fixed outcome ordering for Bell-basis sampling
 BELL_LABELS = (BellLabel(0, 0), BellLabel(0, 1), BellLabel(1, 0), BellLabel(1, 1))
 
 
@@ -110,6 +121,13 @@ class PureState:
         object.__setattr__(self, "amplitudes", amps)
 
 
+def _checked(kind: str, code: int, count: int) -> int:
+    """`code` if it lies in 0..count-1; a negative code would silently pick a wrong row."""
+    if not 0 <= code < count:
+        raise ValueError(f"{kind} code must be in 0..{count - 1}, got {code!r}")
+    return code
+
+
 def _as_front_axis(state: PureState, qubit: int) -> np.ndarray:
     """Amplitudes reshaped to (2, rest) with `qubit` as the leading axis."""
     if not 0 <= qubit < state.num_qubits:
@@ -125,22 +143,29 @@ def _from_front_axis(mat: np.ndarray, qubit: int) -> np.ndarray:
     return mat.T.reshape(-1)  # undo the axis swap
 
 
-def eigenstate(basis: Basis, value: int) -> PureState:
-    """Single-qubit eigenstate of `basis` with outcome `value`."""
-    if value not in (0, 1):
-        raise ValueError(f"outcome value must be 0 or 1, got {value}")
-    return PureState(1, _EIGENVECTORS[basis][value].copy())
+def eigenstate(code: int) -> PureState:
+    """Single-qubit eigenstate of qubit code 2 * basis + value."""
+    basis, value = divmod(_checked("qubit", code, 4), 2)
+    return PureState(1, _EIGENVECTORS[basis, value].copy())
 
 
-def bell_state(label: BellLabel) -> PureState:
-    """Two-qubit Bell state |Psi_{x,y}> for the given label."""
-    label = BellLabel(*label)
-    if label not in _BELL_VECTORS:
-        raise ValueError(f"bell label bits must be 0 or 1, got {label}")
-    return PureState(2, _BELL_VECTORS[label].copy())
+def bell_state(code: int) -> PureState:
+    """Two-qubit Bell state |Psi_{x,y}> of Bell code 2x + y."""
+    return PureState(2, _BELL_VECTORS[_checked("bell", code, 4)].copy())
 
 
-def _build_pauli(u: int, v: int) -> np.ndarray:
+def bell_pairs(codes: Sequence[int]) -> list[PureState]:
+    """Pair registers in the Bell states of the given codes."""
+    return [bell_state(code) for code in codes]
+
+
+def eigenstates(codes: Sequence[int]) -> list[PureState]:
+    """Decoy registers in the eigenstates of the given qubit codes."""
+    return [eigenstate(code) for code in codes]
+
+
+def _build_pauli(key: int) -> np.ndarray:
+    u, v = divmod(key, 2)
     mat = np.eye(2, dtype=complex)
     if v:
         mat = _PAULI_Z @ mat
@@ -149,105 +174,81 @@ def _build_pauli(u: int, v: int) -> np.ndarray:
     return mat
 
 
-_PAULI_TABLE = {(u, v): _build_pauli(u, v) for u in (0, 1) for v in (0, 1)}
+_PAULI_TABLE = np.array([_build_pauli(key) for key in range(4)])  # [key code]
 
 
-def apply_pauli(state: PureState, qubit: int, key: PauliKey) -> PureState:
-    """Apply U_{u,v} to one qubit of the register; returns the new state."""
-    mat = _PAULI_TABLE.get((key[0], key[1]))
-    if mat is None:
-        raise ValueError(f"pauli key bits must be 0 or 1, got {key}")
+def pauli(pair: PureState, key: int) -> PureState:
+    """Pair after U_{u,v} (key code 2u + v) acts on its traveling qubit."""
+    mat = _PAULI_TABLE[_checked("key", key, 4)]
+    return PureState(2, _from_front_axis(mat @ _as_front_axis(pair, 1), 1))
+
+
+def _overlaps(state: PureState, qubit: int, basis: int) -> tuple[np.ndarray, list, tuple]:
+    """Eigenvectors of basis code `basis`, their overlaps with `qubit`, and the weights."""
+    eig = _EIGENVECTORS[_checked("basis", basis, 2)]
     front = _as_front_axis(state, qubit)
-    out = _from_front_axis(mat @ front, qubit)
-    return PureState(state.num_qubits, out)
+    coeffs = [eig[bit].conj() @ front for bit in (0, 1)]
+    return eig, coeffs, tuple(float(np.vdot(coeff, coeff).real) for coeff in coeffs)
 
 
-def measurement_probabilities(state: PureState, qubit: int, basis: Basis) -> tuple[float, float]:
-    """Born-rule outcome probabilities (p0, p1) for measuring one qubit."""
-    front = _as_front_axis(state, qubit)
-    eig = _EIGENVECTORS[basis]
-    p0 = float(np.sum(np.abs(eig[0].conj() @ front) ** 2))
-    p1 = float(np.sum(np.abs(eig[1].conj() @ front) ** 2))
-    return p0, p1
+def measurement_probabilities(state: PureState, qubit: int, basis: int) -> tuple[float, float]:
+    """Born-rule outcome probabilities (p0, p1) for measuring one qubit in basis code `basis`."""
+    return _overlaps(state, qubit, basis)[2]
 
 
-def measure_in_basis(
-    state: PureState, qubit: int, basis: Basis, rng: np.random.Generator
-) -> tuple[int, PureState]:
-    """Projectively measure one qubit in the Z or X basis.
+def collapse(pair: PureState, qubit: int, basis: int, u: float) -> tuple[int, PureState]:
+    """Measure one qubit in basis code `basis` at the uniform draw u: (outcome, post-state).
 
-    Samples the outcome from the Born rule using one `rng.random()` draw
-    and collapses the register, renormalizing the kept branch. Only an
-    outcome whose probability exceeds NORM_TOL can be picked: a certain
-    outcome's float probability can fall a few ulp short of 1, and the
-    draw must not land in that rounding gap.
-
-    Returns:
-        (outcome bit, post-measurement state).
+    `pair` may also be a one-qubit register (qubit 0). The outcome is 0 if
+    u < p0, else 1, and the kept branch is renormalized. Only an outcome
+    whose probability exceeds NORM_TOL can be picked: a certain outcome's
+    float probability can fall a few ulp short of 1, and the draw must not
+    land in that rounding gap.
     """
-    front = _as_front_axis(state, qubit)
-    eig = _EIGENVECTORS[basis]
-    coeff0 = eig[0].conj() @ front
-    coeff1 = eig[1].conj() @ front
-    p0 = float(np.vdot(coeff0, coeff0).real)
-    draw = rng.random()
-    if float(np.vdot(coeff1, coeff1).real) <= NORM_TOL:
+    eig, coeffs, weights = _overlaps(pair, qubit, basis)
+    if weights[1] <= NORM_TOL:
         outcome = 0
-    elif p0 <= NORM_TOL:
+    elif weights[0] <= NORM_TOL:
         outcome = 1
     else:
-        outcome = 0 if draw < p0 else 1
-    coeff = coeff0 if outcome == 0 else coeff1
-    norm = math.sqrt(np.vdot(coeff, coeff).real)
-    if norm <= NORM_TOL:
-        raise RuntimeError("sampled a zero-probability branch; state was not normalized")
-    post = np.outer(eig[outcome], coeff / norm)
-    return outcome, PureState(state.num_qubits, _from_front_axis(post, qubit))
+        outcome = 0 if u < weights[0] else 1
+    post = np.outer(eig[outcome], coeffs[outcome] / math.sqrt(weights[outcome]))
+    return outcome, PureState(pair.num_qubits, _from_front_axis(post, qubit))
 
 
-# rows: conjugated Bell vectors in BELL_LABELS order, for batched projection
-_BELL_BASIS_CONJ = np.array([_BELL_VECTORS[label].conj() for label in BELL_LABELS])
+def collapse_qubit(qubit: PureState, basis: int, u: float) -> tuple[int, PureState]:
+    """`collapse` of a one-qubit register: (outcome, post-measurement qubit)."""
+    return collapse(qubit, 0, basis, u)
 
 
-def _bell_branches(state: PureState) -> tuple[np.ndarray, np.ndarray]:
-    """(4, 1) overlaps of a pair with the Bell states in BELL_LABELS order, and their weights."""
-    if state.num_qubits != 2:
-        raise ValueError(f"bell measurement needs a pair, got a {state.num_qubits}-qubit state")
-    coeffs = _BELL_BASIS_CONJ @ state.amplitudes.reshape(4, 1)
-    return coeffs, (np.abs(coeffs) ** 2).sum(axis=1)
+def decoys_intact(plan: Sequence[int], arrived: Sequence[PureState]) -> bool:
+    """Always False: the dense algebra measures every decoy."""
+    return False
 
 
-def bell_probabilities(state: PureState) -> dict[BellLabel, float]:
-    """Born-rule probabilities of the four Bell outcomes on a pair."""
-    _, probs = _bell_branches(state)
-    return {label: float(probs[i]) for i, label in enumerate(BELL_LABELS)}
+def bell_probabilities(pair: PureState) -> list[float]:
+    """Born-rule probabilities of the four Bell outcomes on a pair, in code order."""
+    if pair.num_qubits != 2:
+        raise ValueError(f"bell measurement needs a pair, got a {pair.num_qubits}-qubit state")
+    overlaps = _BELL_BASIS_CONJ @ pair.amplitudes.reshape(4, 1)
+    return (np.abs(overlaps) ** 2).sum(axis=1).tolist()
 
 
-def bell_measure(state: PureState, rng: np.random.Generator) -> tuple[BellLabel, PureState]:
-    """Projectively measure a pair in the Bell basis.
+def bell_outcome(pair: PureState, u: float) -> int:
+    """Bell outcome code (2x + y) at the uniform draw u.
 
-    One `rng.random()` draw picks the outcome from the cumulative Born
-    probabilities; as in `measure_in_basis`, only an outcome whose
-    probability exceeds NORM_TOL can be picked.
-    Returns the outcome label and the collapsed, renormalized register.
+    The draw picks the outcome from the cumulative Born probabilities in
+    code order; as in `collapse`, only an outcome whose probability exceeds
+    NORM_TOL can be picked.
     """
-    coeffs, probs = _bell_branches(state)
-    draw = rng.random()
-    possible = [i for i in range(len(BELL_LABELS)) if probs[i] > NORM_TOL]
-    outcome = possible[-1]
-    acc = 0.0
-    for i in range(len(BELL_LABELS)):
-        acc += probs[i]
-        if draw < acc and probs[i] > NORM_TOL:
-            outcome = i
-            break
-    label = BELL_LABELS[outcome]
-    coeff = coeffs[outcome]
-    norm = math.sqrt(np.vdot(coeff, coeff).real)
-    if norm <= NORM_TOL:
-        raise RuntimeError("sampled a zero-probability Bell branch")
-    post = np.outer(_BELL_VECTORS[label], coeff / norm)
-    return label, PureState(2, post.reshape(-1))
+    cumulative = 0.0
+    for code, probability in enumerate(bell_probabilities(pair)):
+        cumulative += probability
+        if probability > NORM_TOL:
+            last_possible = code
+            if u < cumulative:
+                return code
+    return last_possible
 
 
 def equal_up_to_phase(a: PureState, b: PureState, tol: float = 1e-9) -> bool:

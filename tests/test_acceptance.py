@@ -5,7 +5,6 @@ the measured quantities (visible with `pytest -s`); the assertions carry the
 same bounds. All runs are seeded, so the gate is deterministic.
 """
 
-import dataclasses
 import itertools
 import json
 import math
@@ -23,10 +22,6 @@ COLLUSION_SCENARIO = ScenarioConfig(
 def _verdict(criterion: int, passed: bool, detail: str) -> None:
     print(f"{'PASS' if passed else 'FAIL'} criterion {criterion}: {detail}")
     assert passed, f"criterion {criterion}: {detail}"
-
-
-def _strip_time(report):
-    return dataclasses.replace(report, wall_time_s=0.0)
 
 
 def test_criterion_1_honest_correctness():
@@ -184,10 +179,10 @@ def test_criterion_6_improved_check_finding():
 
 
 def test_criterion_7_determinism():
-    """Same seed, 1 vs many threads: bit-identical reports (wall time excluded)."""
+    """Same seed, 1 vs many threads: bit-identical reports."""
     serial = harness.run_trials(COLLUSION_SCENARIO, threads=1)
     parallel = harness.run_trials(COLLUSION_SCENARIO, threads=8)
-    same_fields = _strip_time(serial) == _strip_time(parallel)
+    same_fields = serial == parallel
     serial_bytes = json.dumps(serial.to_dict(), indent=2).encode()
     parallel_bytes = json.dumps(parallel.to_dict(), indent=2).encode()
     passed = same_fields and serial_bytes == parallel_bytes

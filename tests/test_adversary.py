@@ -12,10 +12,10 @@ import pytest
 
 from qsschain import adversary, checks, cli, harness, protocol, qcore
 from qsschain.config import ScenarioConfig
-from qsschain.qcore import Basis, BellLabel, PauliKey
+from qsschain.qcore import BellLabel, PauliKey
 
 ALL_KEYS = [PauliKey(u, v) for u in (0, 1) for v in (0, 1)]
-DENSE = protocol.DENSE
+PROBE = qcore.BELL_LABELS.index(adversary.PROBE_LABEL)
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
@@ -118,22 +118,22 @@ class TestCollusionPieces:
     @pytest.mark.parametrize("composite", ALL_KEYS)
     def test_recover_composite_against_state_vectors(self, composite):
         """Encode a known composite on a probe half, Bell-measure, recover."""
-        probe = qcore.apply_pauli(qcore.bell_state(BellLabel(1, 1)), 1, composite)
+        probe = qcore.pauli(qcore.bell_state(PROBE), 2 * composite.u + composite.v)
         probs = qcore.bell_probabilities(probe)
-        outcome = max(probs, key=probs.get)
+        outcome = max(range(4), key=probs.__getitem__)
         assert probs[outcome] == pytest.approx(1.0, abs=1e-9)
-        assert adversary.recover_composite(outcome) == composite
+        assert adversary.recover_composite(qcore.BELL_LABELS[outcome]) == composite
 
     def test_untouched_probes_read_zero_composite(self):
-        probes = [qcore.bell_state(adversary.PROBE_LABEL)] * 4
-        composites = protocol.read_probes(DENSE, probes, np.random.default_rng(3))
+        probes = qcore.bell_pairs([PROBE] * 4)
+        composites = protocol.read_probes(qcore, probes, np.random.default_rng(3))
         assert composites == [PauliKey(0, 0)] * 4
 
     def test_probe_halves_accumulate_middle_keys(self):
         middle = [PauliKey(1, 0), PauliKey(0, 1), PauliKey(1, 1)]
-        probes = [qcore.bell_state(adversary.PROBE_LABEL)] * 3
-        probes = protocol.encode_key(DENSE, probes, [2 * u + v for u, v in middle])
-        assert protocol.read_probes(DENSE, probes, np.random.default_rng(2)) == middle
+        probes = qcore.bell_pairs([PROBE] * 3)
+        probes = protocol.encode_key(qcore, probes, [2 * u + v for u, v in middle])
+        assert protocol.read_probes(qcore, probes, np.random.default_rng(2)) == middle
 
 
 class TestCollusionEndToEnd:
@@ -187,9 +187,9 @@ class TestInterceptResend:
         rng = np.random.default_rng(6)
         total = 4000
         slots, plan = protocol.insert_decoys(0, total, rng)
-        arrived = DENSE.eigenstates(plan)
-        protocol.intercept_resend(DENSE, slots, arrived, [], rng)
-        errors = protocol.verify_decoys(DENSE, plan, arrived, rng)
+        arrived = qcore.eigenstates(plan)
+        protocol.intercept_resend(qcore, slots, arrived, [], rng)
+        errors = protocol.verify_decoys(qcore, plan, arrived, rng)
         rate = errors / total
         assert abs(rate - 0.25) < 3 * math.sqrt(0.25 * 0.75 / total)
 
@@ -200,17 +200,17 @@ class TestInterceptResend:
             return any(
                 max(qcore.measurement_probabilities(state, qubit, basis))
                 == pytest.approx(1.0, abs=1e-9)
-                for basis in (Basis.Z, Basis.X)
+                for basis in (0, 1)  # Z, X
             )
 
         rng = np.random.default_rng(19)
-        pairs = DENSE.bell_pairs([0, 1, 2, 3, 1])
+        pairs = qcore.bell_pairs([0, 1, 2, 3, 1])
         slots, plan = protocol.insert_decoys(len(pairs), 4, rng)
         # a state certain in neither basis, so only a measurement makes it certain
         tilted = qcore.PureState(1, np.array([math.cos(math.pi / 8), math.sin(math.pi / 8)]))
         arrived = [tilted] * len(plan)
         assert not certain(tilted, 0)
-        protocol.intercept_resend(DENSE, slots, arrived, pairs, rng)
+        protocol.intercept_resend(qcore, slots, arrived, pairs, rng)
         assert all(certain(state, 0) for state in arrived)
         assert all(certain(pair, protocol.TRAVELING_QUBIT) for pair in pairs)
         assert all(certain(pair, protocol.RETAINED_QUBIT) for pair in pairs)

@@ -1,7 +1,6 @@
 """Harness tests: trial streams, aggregation, exact companions, report files."""
 
 import csv
-import dataclasses
 import json
 import math
 import threading
@@ -12,10 +11,6 @@ import pytest
 from qsschain import harness, labels, protocol
 from qsschain.config import ConfigError, ScenarioConfig
 from qsschain.harness import ReportWriteError, RunReport
-
-
-def strip_time(report: RunReport) -> RunReport:
-    return dataclasses.replace(report, wall_time_s=0.0)
 
 
 class TestTrialGenerator:
@@ -46,7 +41,6 @@ class TestRunTrials:
         assert report.secret_recovery_rate is None
         assert report.per_decoy_error_rate == 0.0
         assert report.exact_detection == 0.0
-        assert report.wall_time_s > 0.0
 
     def test_collusion_batch_is_invisible_and_leaks(self):
         config = ScenarioConfig(n=4, m=8, d=4, attack="collusion", trials=60, seed=2)
@@ -99,8 +93,8 @@ class TestRunTrials:
 
     def test_same_seed_same_report(self):
         config = ScenarioConfig(n=3, m=4, d=2, attack="collusion", trials=40, seed=5)
-        first = strip_time(harness.run_trials(config))
-        second = strip_time(harness.run_trials(config))
+        first = harness.run_trials(config)
+        second = harness.run_trials(config)
         assert first == second
 
     def test_threads_start_no_thread(self, monkeypatch):
@@ -114,9 +108,9 @@ class TestRunTrials:
 
         monkeypatch.setattr(protocol, "run_distribution", recording)
         config = ScenarioConfig(n=2, m=2, d=3, attack="intercept_resend", trials=64, seed=6)
-        parallel = strip_time(harness.run_trials(config, threads=4))
+        parallel = harness.run_trials(config, threads=4)
         assert idents == [threading.get_ident()] * config.trials
-        assert parallel == strip_time(harness.run_trials(config, threads=1))
+        assert parallel == harness.run_trials(config, threads=1)
 
     def test_bad_thread_count(self):
         with pytest.raises(ValueError):
@@ -195,8 +189,7 @@ class TestReportFiles:
         path = tmp_path / "report.json"
         harness.write_report(report, path, "json")
         loaded = harness.read_report(path, "json")
-        assert loaded == strip_time(report)
-        assert loaded.wall_time_s == 0.0
+        assert loaded == report
 
     def test_json_file_has_no_timing_field(self, tmp_path):
         path = tmp_path / "report.json"
@@ -209,7 +202,7 @@ class TestReportFiles:
         report = self._report()
         path = tmp_path / "report.csv"
         harness.write_report(report, path, "csv")
-        assert harness.read_report(path, "csv") == strip_time(report)
+        assert harness.read_report(path, "csv") == report
 
     def test_csv_none_cells_roundtrip(self, tmp_path):
         report = self._report(attack="none")
@@ -218,7 +211,7 @@ class TestReportFiles:
         harness.write_report(report, path, "csv")
         loaded = harness.read_report(path, "csv")
         assert loaded.secret_recovery_rate is None
-        assert loaded == strip_time(report)
+        assert loaded == report
 
     def test_missing_required_value_is_rejected(self, tmp_path):
         """A blank CSV cell fails like a JSON null: both reach `from_dict` as None."""
@@ -244,7 +237,7 @@ class TestReportFiles:
         path = tmp_path / "sweep.csv"
         harness.write_csv(reports, path)
         loaded = harness.read_csv(path)
-        assert loaded == [strip_time(r) for r in reports]
+        assert loaded == reports
         lines = path.read_text().splitlines()
         assert len(lines) == 4  # header + one row per report
         assert lines[0] == ",".join(harness.REPORT_COLUMNS)

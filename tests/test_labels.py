@@ -1,5 +1,7 @@
 """Label-engine tests: rule certification, algebra dispatch, differential replay."""
 
+import inspect
+
 import numpy as np
 import pytest
 
@@ -41,11 +43,30 @@ def test_even_split_threshold_is_exactly_one_half():
     assert labels.bell_outcome(labels.product(0, 0), 0.5) == 1
 
 
+ALGEBRA = (
+    "bell_pairs", "eigenstates", "pauli", "collapse", "collapse_qubit", "bell_outcome",
+    "decoys_intact",
+)
+
+
+def test_qcore_is_the_dense_algebra(monkeypatch):
+    """`labels` and `qcore` offer one interface, and the dense run plays on `qcore` itself."""
+    for name in ALGEBRA:
+        signatures = [inspect.signature(getattr(module, name)) for module in (labels, qcore)]
+        assert list(signatures[0].parameters) == list(signatures[1].parameters), name
+    seen = []
+    true_collapse = qcore.collapse
+    monkeypatch.setattr(qcore, "collapse", lambda *args: seen.append(args) or true_collapse(*args))
+    config = ScenarioConfig(n=2, m=2, d=1, trials=1, seed=4)
+    protocol.run_distribution_dense(config, harness.trial_generator(4, 0))
+    assert len(seen) == config.n + 1  # one decoy per hop
+
+
 @pytest.mark.parametrize("attack", ATTACK_KINDS)
 def test_dense_run_samples_every_measurement_through_qcore(attack, monkeypatch):
     """Every decoy of every hop, every sampled pair and every Bell readout is a qcore call."""
-    calls = {"measure_in_basis": 0, "bell_measure": 0, "states": 0}
-    for name in ("measure_in_basis", "bell_measure"):
+    calls = {"collapse": 0, "bell_outcome": 0, "states": 0}
+    for name in ("collapse", "bell_outcome"):
         def counted(*args, _name=name, _rule=getattr(qcore, name)):
             calls[_name] += 1
             return _rule(*args)
@@ -63,8 +84,8 @@ def test_dense_run_samples_every_measurement_through_qcore(attack, monkeypatch):
     protocol.run_distribution_dense(config, harness.trial_generator(5, 0))
     eve = d + m if attack == "intercept_resend" else 0
     probes = m if attack == "collusion" else 0
-    assert calls["measure_in_basis"] == (n + 1) * d + eve + 2 * sampled
-    assert calls["bell_measure"] == probes + m - sampled
+    assert calls["collapse"] == (n + 1) * d + eve + 2 * sampled
+    assert calls["bell_outcome"] == probes + m - sampled
     assert calls["states"] > 0
 
 

@@ -13,12 +13,16 @@ from qsschain.qcore import BELL_LABELS, Basis, BellLabel, PauliKey
 
 ALL_LABELS = [BellLabel(x, y) for x in (0, 1) for y in (0, 1)]
 ALL_KEYS = [PauliKey(u, v) for u in (0, 1) for v in (0, 1)]
-DENSE = protocol.DENSE
-ALGEBRAS = [pytest.param(labels, id="labels"), pytest.param(DENSE, id="dense")]
+ALGEBRAS = [pytest.param(labels, id="labels"), pytest.param(qcore, id="dense")]
 
 
 def key_codes(keys):
     return [2 * u + v for u, v in keys]
+
+
+def eigen(basis, value):
+    """The eigenstate of `basis` with outcome `value`, by its qubit code."""
+    return qcore.eigenstate(2 * labels.BASES.index(basis) + value)
 
 
 class TestPrepare:
@@ -28,8 +32,11 @@ class TestPrepare:
         assert [alg.bell_outcome(pair, 0.5) for pair in pairs] == [0, 1, 2, 3]
 
     def test_states_match_labels(self):
-        for label, pair in zip(BELL_LABELS, DENSE.bell_pairs(range(4))):
-            assert qcore.equal_up_to_phase(pair, qcore.bell_state(label))
+        """|Psi_{x,y}> = (|0 x> + (-1)^y |1 not-x>) / sqrt(2)."""
+        for (x, y), pair in zip(BELL_LABELS, qcore.bell_pairs(range(4))):
+            expected = np.zeros(4)
+            expected[x], expected[3 - x] = 1, (-1) ** y
+            np.testing.assert_allclose(pair.amplitudes, expected / math.sqrt(2), atol=1e-12)
 
     def test_seed_reproduces_labels(self):
         config = ScenarioConfig(n=2, m=32, d=0, trials=1, seed=41)
@@ -53,12 +60,13 @@ class TestDecoyPlanning:
 
     def test_preparations_cover_all_four_states(self):
         _, plan = protocol.insert_decoys(0, 400, np.random.default_rng(3))
-        decoys = DENSE.eigenstates(plan)
+        decoys = qcore.eigenstates(plan)
         seen = set()
         for code, decoy in zip(plan, decoys):
-            basis, value = labels.BASES[code >> 1], code & 1
-            assert qcore.equal_up_to_phase(decoy, qcore.eigenstate(basis, value))
-            seen.add((basis, value))
+            basis, value = code >> 1, code & 1
+            probs = qcore.measurement_probabilities(decoy, 0, basis)
+            assert probs[value] == pytest.approx(1.0, abs=1e-12)
+            seen.add((labels.BASES[basis], value))
         assert seen == {(b, v) for b in (Basis.Z, Basis.X) for v in (0, 1)}
 
     def test_seed_reproduces_plan(self):
@@ -100,22 +108,22 @@ class TestDecoyVerification:
 
 class TestEncodeKey:
     def test_zero_keys_are_identity(self):
-        pairs = DENSE.bell_pairs([0, 1, 2, 3])
-        encoded = protocol.encode_key(DENSE, pairs, [0] * 4)
+        pairs = qcore.bell_pairs([0, 1, 2, 3])
+        encoded = protocol.encode_key(qcore, pairs, [0] * 4)
         for before, after in zip(pairs, encoded):
             np.testing.assert_allclose(after.amplitudes, before.amplitudes)
 
     def test_bit_flip_key_shifts_x(self):
-        [encoded] = protocol.encode_key(DENSE, DENSE.bell_pairs([0]), key_codes([PauliKey(1, 0)]))
-        assert qcore.equal_up_to_phase(encoded, qcore.bell_state(BellLabel(1, 0)))
+        [encoded] = protocol.encode_key(qcore, qcore.bell_pairs([0]), key_codes([PauliKey(1, 0)]))
+        assert qcore.equal_up_to_phase(encoded, qcore.bell_state(2))  # |Psi_10>
 
     def test_double_encode_is_involution(self):
         codes = [3, 0, 2]
         keys = key_codes([PauliKey(1, 1), PauliKey(0, 1), PauliKey(1, 0)])
-        once = protocol.encode_key(DENSE, DENSE.bell_pairs(codes), keys)
-        twice = protocol.encode_key(DENSE, once, keys)
+        once = protocol.encode_key(qcore, qcore.bell_pairs(codes), keys)
+        twice = protocol.encode_key(qcore, once, keys)
         for code, pair in zip(codes, twice):
-            assert qcore.equal_up_to_phase(pair, qcore.bell_state(BELL_LABELS[code]))
+            assert qcore.equal_up_to_phase(pair, qcore.bell_state(code))
 
     @pytest.mark.parametrize("alg", ALGEBRAS)
     def test_key_count_mismatch(self, alg):
@@ -183,13 +191,10 @@ class TestDeduceParity:
     @pytest.mark.parametrize("basis", [Basis.Z, Basis.X])
     def test_all_32_cases_against_state_statistics(self, label, total, basis):
         """Brute-force both-qubit outcome parity of the encoded pair."""
-        state = qcore.apply_pauli(qcore.bell_state(label), 1, total)
+        state = qcore.pauli(qcore.bell_state(2 * label.x + label.y), 2 * total.u + total.v)
         parity_prob = {0: 0.0, 1: 0.0}
         for a, b in itertools.product((0, 1), repeat=2):
-            projector = np.kron(
-                qcore.eigenstate(basis, a).amplitudes,
-                qcore.eigenstate(basis, b).amplitudes,
-            )
+            projector = np.kron(eigen(basis, a).amplitudes, eigen(basis, b).amplitudes)
             parity_prob[a ^ b] += abs(np.vdot(projector, state.amplitudes)) ** 2
         rule = protocol.deduce_parity(label, total, basis)
         assert parity_prob[rule] == pytest.approx(1.0, abs=1e-9)
@@ -199,12 +204,12 @@ class TestImprovedCheck:
     def _setup(self, m, n_participants, rng):
         codes = rng.integers(0, 4, size=m).tolist()
         prepared = [BELL_LABELS[code] for code in codes]
-        pairs = DENSE.bell_pairs(codes)
+        pairs = qcore.bell_pairs(codes)
         keys = []
         for owner in range(1, n_participants + 1):
             bits = rng.integers(0, 2, size=(m, 2))
             key = ParticipantKey(owner, [PauliKey(int(u), int(v)) for u, v in bits])
-            pairs = protocol.encode_key(DENSE, pairs, key_codes(key.keys))
+            pairs = protocol.encode_key(qcore, pairs, key_codes(key.keys))
             keys.append(key)
         return pairs, prepared, keys
 
@@ -212,7 +217,7 @@ class TestImprovedCheck:
         for seed in range(25):
             rng = np.random.default_rng(seed)
             pairs, prepared, keys = self._setup(8, 3, rng)
-            result = protocol.improved_check(DENSE, pairs, prepared, 0.5, keys, rng)
+            result = protocol.improved_check(qcore, pairs, prepared, 0.5, keys, rng)
             assert result.passed
             assert len(result.entries) == 4
             for entry in result.entries:
@@ -225,19 +230,19 @@ class TestImprovedCheck:
     def test_sample_size_is_ceil(self, m, fraction, expected):
         rng = np.random.default_rng(13)
         pairs, prepared, keys = self._setup(m, 2, rng)
-        result = protocol.improved_check(DENSE, pairs, prepared, fraction, keys, rng)
+        result = protocol.improved_check(qcore, pairs, prepared, fraction, keys, rng)
         assert len(result.entries) == expected
         assert math.ceil(fraction * m) == expected
 
     def test_sampled_pairs_are_consumed(self):
         rng = np.random.default_rng(15)
         pairs, prepared, keys = self._setup(4, 2, rng)
-        result = protocol.improved_check(DENSE, pairs, prepared, 1.0, keys, rng)
+        result = protocol.improved_check(qcore, pairs, prepared, 1.0, keys, rng)
         assert sorted(result.sampled_positions) == [1, 2, 3, 4]
         for entry in result.entries:
             measured = np.kron(
-                qcore.eigenstate(entry.basis, entry.x_outcome).amplitudes,
-                qcore.eigenstate(entry.basis, entry.y_outcome).amplitudes,
+                eigen(entry.basis, entry.x_outcome).amplitudes,
+                eigen(entry.basis, entry.y_outcome).amplitudes,
             )
             assert qcore.equal_up_to_phase(pairs[entry.position - 1], qcore.PureState(2, measured))
 
@@ -257,16 +262,16 @@ class TestImprovedCheck:
             )
             # substitute: the genuine traveling half is gone, a fresh |0> arrives
             retained_probs = qcore.measurement_probabilities(
-                pairs[0], protocol.RETAINED_QUBIT, Basis.Z
+                pairs[0], protocol.RETAINED_QUBIT, labels.Z
             )
             pairs[0] = qcore.PureState(
                 2,
                 np.kron(
-                    qcore.eigenstate(Basis.Z, 0 if rng.random() < retained_probs[0] else 1).amplitudes,
-                    qcore.eigenstate(Basis.Z, 0).amplitudes,
+                    eigen(Basis.Z, 0 if rng.random() < retained_probs[0] else 1).amplitudes,
+                    eigen(Basis.Z, 0).amplitudes,
                 ),
             )
-            result = protocol.improved_check(DENSE, pairs, prepared, 1.0, keys, rng)
+            result = protocol.improved_check(qcore, pairs, prepared, 1.0, keys, rng)
             mismatches += 0 if result.passed else 1
         rate = mismatches / trials
         assert abs(rate - 0.5) < 3 * math.sqrt(0.25 / trials)
@@ -280,8 +285,8 @@ class TestImprovedCheck:
             pairs, prepared, keys = self._setup(
                 1, 2, np.random.default_rng(int(rng.integers(2**32)))
             )
-            _, pairs[0] = qcore.measure_in_basis(pairs[0], TRAVELING_QUBIT, Basis.Z, rng)
-            result = protocol.improved_check(DENSE, pairs, prepared, 1.0, keys, rng)
+            _, pairs[0] = qcore.collapse(pairs[0], TRAVELING_QUBIT, labels.Z, rng.random())
+            result = protocol.improved_check(qcore, pairs, prepared, 1.0, keys, rng)
             mismatches += 0 if result.passed else 1
         rate = mismatches / trials
         assert abs(rate - 0.25) < 3 * math.sqrt(0.25 * 0.75 / trials)

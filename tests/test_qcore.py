@@ -37,6 +37,24 @@ def oracle_on_second(key):
     return np.kron(I2, oracle_pauli(key))
 
 
+def code(bits):
+    """Code 2a + b of a Bell label (a, b) or a Pauli key (a, b)."""
+    return 2 * bits[0] + bits[1]
+
+
+def bell(label):
+    return qcore.bell_state(code(label))
+
+
+def basis_code(basis):
+    return labels.BASES.index(basis)
+
+
+def eigen(basis, value):
+    """The eigenstate of `basis` with outcome `value`, by its qubit code."""
+    return qcore.eigenstate(2 * basis_code(basis) + value)
+
+
 class TestBellStates:
     """The four Bell states have the frozen amplitude vectors."""
 
@@ -48,17 +66,19 @@ class TestBellStates:
             (1, 1): [0, SQ2, -SQ2, 0],
         }
         for label, amps in expected.items():
-            state = qcore.bell_state(BellLabel(*label))
+            state = bell(label)
             np.testing.assert_allclose(state.amplitudes, amps, atol=1e-12)
 
     def test_normalized(self):
         for label in ALL_LABELS:
-            amps = qcore.bell_state(label).amplitudes
+            amps = bell(label).amplitudes
             assert np.vdot(amps, amps).real == pytest.approx(1.0, abs=1e-9)
 
     def test_invalid_label_rejected(self):
-        with pytest.raises(ValueError):
-            qcore.bell_state(BellLabel(2, 0))
+        """A code outside 0..3, even a negative one that would index a row, is refused."""
+        for bad in (4, -1):
+            with pytest.raises(ValueError, match="bell code"):
+                qcore.bell_state(bad)
 
 
 class TestPureState:
@@ -82,27 +102,29 @@ class TestPauliEncoding:
     """U_{u,v} = X^u Z^v with Z applied first."""
 
     def test_identity_key_leaves_state(self):
-        state = qcore.bell_state(BellLabel(1, 0))
-        out = qcore.apply_pauli(state, 1, PauliKey(0, 0))
+        state = bell(BellLabel(1, 0))
+        out = qcore.pauli(state, code(PauliKey(0, 0)))
         np.testing.assert_allclose(out.amplitudes, state.amplitudes)
 
     def test_phase_flip_on_plus(self):
-        plus = qcore.eigenstate(Basis.X, 0)
-        minus = qcore.apply_pauli(plus, 0, PauliKey(0, 1))
-        np.testing.assert_allclose(minus.amplitudes, qcore.eigenstate(Basis.X, 1).amplitudes)
+        """Z flips a traveling |+> to |->; the retained |0> is untouched."""
+        zero = eigen(Basis.Z, 0).amplitudes
+        zero_plus = PureState(2, np.kron(zero, eigen(Basis.X, 0).amplitudes))
+        out = qcore.pauli(zero_plus, code(PauliKey(0, 1)))
+        np.testing.assert_allclose(out.amplitudes, np.kron(zero, eigen(Basis.X, 1).amplitudes))
 
     def test_key_11_on_traveling_qubit_of_psi00(self):
         """Frozen case: (1,1) on the second qubit maps Psi_00 to Psi_11."""
-        out = qcore.apply_pauli(qcore.bell_state(BellLabel(0, 0)), 1, PauliKey(1, 1))
-        assert qcore.equal_up_to_phase(out, qcore.bell_state(BellLabel(1, 1)))
-        oracle = oracle_on_second(PauliKey(1, 1)) @ qcore.bell_state(BellLabel(0, 0)).amplitudes
+        out = qcore.pauli(bell(BellLabel(0, 0)), code(PauliKey(1, 1)))
+        assert qcore.equal_up_to_phase(out, bell(BellLabel(1, 1)))
+        oracle = oracle_on_second(PauliKey(1, 1)) @ bell(BellLabel(0, 0)).amplitudes
         assert abs(np.vdot(oracle, out.amplitudes)) == pytest.approx(1.0, abs=1e-9)
 
     @pytest.mark.parametrize("label", ALL_LABELS)
     @pytest.mark.parametrize("key", ALL_KEYS)
     def test_agrees_with_kron_oracle(self, label, key):
-        out = qcore.apply_pauli(qcore.bell_state(label), 1, key)
-        oracle = oracle_on_second(key) @ qcore.bell_state(label).amplitudes
+        out = qcore.pauli(bell(label), code(key))
+        oracle = oracle_on_second(key) @ bell(label).amplitudes
         np.testing.assert_allclose(out.amplitudes, oracle, atol=1e-12)
 
     def test_norm_preserved_on_random_states(self):
@@ -110,23 +132,19 @@ class TestPauliEncoding:
         for _ in range(50):
             raw = rng.normal(size=4) + 1j * rng.normal(size=4)
             state = PureState(2, raw / np.linalg.norm(raw))
-            key = PauliKey(int(rng.integers(2)), int(rng.integers(2)))
-            out = qcore.apply_pauli(state, int(rng.integers(2)), key)
+            out = qcore.pauli(state, int(rng.integers(4)))
             norm = np.vdot(out.amplitudes, out.amplitudes).real
             assert norm == pytest.approx(1.0, abs=1e-9)
 
     def test_qubit_out_of_range(self):
-        with pytest.raises(ValueError):
-            qcore.apply_pauli(qcore.bell_state(BellLabel(0, 0)), 2, PauliKey(1, 0))
+        """A lone qubit has no traveling qubit 1 to encode."""
+        with pytest.raises(ValueError, match="out of range"):
+            qcore.pauli(eigen(Basis.X, 0), code(PauliKey(0, 1)))
 
     def test_invalid_key_bits(self):
-        with pytest.raises(ValueError):
-            qcore.apply_pauli(qcore.bell_state(BellLabel(0, 0)), 1, PauliKey(2, 0))
-
-
-def code(bits):
-    """Label-engine code 2a + b of a Bell label (a, b) or a Pauli key (a, b)."""
-    return 2 * bits[0] + bits[1]
+        for bad in (4, -1):
+            with pytest.raises(ValueError, match="key code"):
+                qcore.pauli(bell(BellLabel(0, 0)), bad)
 
 
 class TestLabelShift:
@@ -139,8 +157,8 @@ class TestLabelShift:
     @pytest.mark.parametrize("label", ALL_LABELS)
     @pytest.mark.parametrize("key", ALL_KEYS)
     def test_all_16_cases_match_state_vectors(self, label, key):
-        shifted_state = qcore.apply_pauli(qcore.bell_state(label), 1, key)
-        predicted = qcore.BELL_LABELS[labels.pauli(code(label), code(key))]
+        shifted_state = qcore.pauli(bell(label), code(key))
+        predicted = labels.pauli(code(label), code(key))
         assert qcore.equal_up_to_phase(shifted_state, qcore.bell_state(predicted), tol=1e-9)
 
     @pytest.mark.parametrize("key1", ALL_KEYS)
@@ -149,10 +167,8 @@ class TestLabelShift:
         """Two encodings compose to the XOR key on every Bell input, up to phase."""
         combined = key1 ^ key2
         for label in ALL_LABELS:
-            sequential = qcore.apply_pauli(
-                qcore.apply_pauli(qcore.bell_state(label), 1, key1), 1, key2
-            )
-            direct = qcore.apply_pauli(qcore.bell_state(label), 1, combined)
+            sequential = qcore.pauli(qcore.pauli(bell(label), code(key1)), code(key2))
+            direct = qcore.pauli(bell(label), code(combined))
             assert qcore.equal_up_to_phase(sequential, direct, tol=1e-9)
             assert labels.pauli(labels.pauli(code(label), code(key1)), code(key2)) == (
                 labels.pauli(code(label), code(combined))
@@ -161,21 +177,22 @@ class TestLabelShift:
 
 class TestMeasurement:
     def test_z_eigenstate_is_certain(self):
-        state = qcore.eigenstate(Basis.Z, 0)
+        state = eigen(Basis.Z, 0)
         for seed in range(10):
-            outcome, post = qcore.measure_in_basis(state, 0, Basis.Z, np.random.default_rng(seed))
+            u = np.random.default_rng(seed).random()
+            outcome, post = qcore.collapse_qubit(state, basis_code(Basis.Z), u)
             assert outcome == 0
             np.testing.assert_allclose(post.amplitudes, state.amplitudes)
 
     def test_plus_in_z_is_unbiased(self):
-        state = qcore.eigenstate(Basis.X, 0)
-        probs = qcore.measurement_probabilities(state, 0, Basis.Z)
+        state = eigen(Basis.X, 0)
+        probs = qcore.measurement_probabilities(state, 0, basis_code(Basis.Z))
         assert probs[0] == pytest.approx(0.5, abs=1e-12)
         counts = 0
         trials = 4000
         rng = np.random.default_rng(7)
         for _ in range(trials):
-            outcome, _ = qcore.measure_in_basis(state, 0, Basis.Z, rng)
+            outcome, _ = qcore.collapse_qubit(state, basis_code(Basis.Z), rng.random())
             counts += outcome
         se = math.sqrt(0.25 / trials)
         assert abs(counts / trials - 0.5) < 3 * se
@@ -184,10 +201,8 @@ class TestMeasurement:
         """Measuring the first qubit of Psi_00 in Z leaves |00> or |11>."""
         seen = set()
         for seed in range(20):
-            rng = np.random.default_rng(seed)
-            outcome, post = qcore.measure_in_basis(
-                qcore.bell_state(BellLabel(0, 0)), 0, Basis.Z, rng
-            )
+            u = np.random.default_rng(seed).random()
+            outcome, post = qcore.collapse(bell(BellLabel(0, 0)), 0, basis_code(Basis.Z), u)
             seen.add(outcome)
             expected = np.zeros(4, dtype=complex)
             expected[outcome * 3] = 1.0  # |00> at index 0, |11> at index 3
@@ -198,77 +213,71 @@ class TestMeasurement:
     @pytest.mark.parametrize("label", ALL_LABELS)
     @pytest.mark.parametrize("qubit", [0, 1])
     def test_probabilities_sum_to_one(self, basis, label, qubit):
-        probs = qcore.measurement_probabilities(qcore.bell_state(label), qubit, basis)
+        probs = qcore.measurement_probabilities(bell(label), qubit, basis_code(basis))
         assert sum(probs) == pytest.approx(1.0, abs=1e-9)
 
     def test_repeated_measurement_is_stable(self):
         rng = np.random.default_rng(3)
-        state = qcore.bell_state(BellLabel(1, 0))
-        outcome, post = qcore.measure_in_basis(state, 1, Basis.X, rng)
-        again, post2 = qcore.measure_in_basis(post, 1, Basis.X, rng)
+        state = bell(BellLabel(1, 0))
+        outcome, post = qcore.collapse(state, 1, basis_code(Basis.X), rng.random())
+        again, post2 = qcore.collapse(post, 1, basis_code(Basis.X), rng.random())
         assert again == outcome
         np.testing.assert_allclose(post2.amplitudes, post.amplitudes, atol=1e-12)
 
     def test_collapse_preserves_norm(self):
         rng = np.random.default_rng(11)
         for label in ALL_LABELS:
-            _, post = qcore.measure_in_basis(qcore.bell_state(label), 0, Basis.X, rng)
+            _, post = qcore.collapse(bell(label), 0, basis_code(Basis.X), rng.random())
             norm = np.vdot(post.amplitudes, post.amplitudes).real
             assert norm == pytest.approx(1.0, abs=1e-9)
+
+    def test_invalid_codes_rejected(self):
+        for bad in (2, -1):
+            with pytest.raises(ValueError, match="basis code"):
+                qcore.collapse(bell(BellLabel(0, 0)), 0, bad, 0.5)
+            with pytest.raises(ValueError, match="basis code"):
+                qcore.measurement_probabilities(bell(BellLabel(0, 0)), 0, bad)
+        for bad in (4, -1):
+            with pytest.raises(ValueError, match="qubit code"):
+                qcore.eigenstate(bad)
 
 
 class TestBellMeasure:
     @pytest.mark.parametrize("label", ALL_LABELS)
     def test_eigenstate_is_deterministic(self, label):
-        probs = qcore.bell_probabilities(qcore.bell_state(label))
-        assert probs[label] == pytest.approx(1.0, abs=1e-12)
+        probs = qcore.bell_probabilities(bell(label))
+        assert probs[code(label)] == pytest.approx(1.0, abs=1e-12)
         for seed in range(5):
-            outcome, post = qcore.bell_measure(qcore.bell_state(label), np.random.default_rng(seed))
-            assert outcome == label
-            assert qcore.equal_up_to_phase(post, qcore.bell_state(label))
+            u = np.random.default_rng(seed).random()
+            assert qcore.bell_outcome(bell(label), u) == code(label)
 
     def test_product_00_frozen_probabilities(self):
         """|00> overlaps only the two parity-0 Bell states, each with 1/2."""
         probs = qcore.bell_probabilities(PureState(2, np.array([1, 0, 0, 0])))
-        assert probs[BellLabel(0, 0)] == pytest.approx(0.5, abs=1e-12)
-        assert probs[BellLabel(0, 1)] == pytest.approx(0.5, abs=1e-12)
-        assert probs[BellLabel(1, 0)] == pytest.approx(0.0, abs=1e-12)
-        assert probs[BellLabel(1, 1)] == pytest.approx(0.0, abs=1e-12)
+        assert probs[code(BellLabel(0, 0))] == pytest.approx(0.5, abs=1e-12)
+        assert probs[code(BellLabel(0, 1))] == pytest.approx(0.5, abs=1e-12)
+        assert probs[code(BellLabel(1, 0))] == pytest.approx(0.0, abs=1e-12)
+        assert probs[code(BellLabel(1, 1))] == pytest.approx(0.0, abs=1e-12)
         # kron oracle: amplitudes of |00> against explicit Bell vectors
         v00 = np.array([1, 0, 0, 0], dtype=complex)
         for label in ALL_LABELS:
-            overlap = abs(np.vdot(qcore.bell_state(label).amplitudes, v00)) ** 2
-            assert probs[label] == pytest.approx(overlap, abs=1e-12)
+            overlap = abs(np.vdot(bell(label).amplitudes, v00)) ** 2
+            assert probs[code(label)] == pytest.approx(overlap, abs=1e-12)
 
     def test_product_00_sampling(self):
         rng = np.random.default_rng(5)
         product_00 = PureState(2, np.array([1, 0, 0, 0]))
-        outcomes = [qcore.bell_measure(product_00, rng)[0] for _ in range(2000)]
-        assert set(outcomes) == {BellLabel(0, 0), BellLabel(0, 1)}
-        frac = sum(1 for o in outcomes if o == BellLabel(0, 0)) / len(outcomes)
+        outcomes = [qcore.bell_outcome(product_00, rng.random()) for _ in range(2000)]
+        assert set(outcomes) == {code(BellLabel(0, 0)), code(BellLabel(0, 1))}
+        frac = sum(1 for o in outcomes if o == code(BellLabel(0, 0))) / len(outcomes)
         assert abs(frac - 0.5) < 3 * math.sqrt(0.25 / 2000)
 
-    def test_post_state_is_the_bell_state(self):
-        rng = np.random.default_rng(9)
-        outcome, post = qcore.bell_measure(PureState(2, np.array([0, 0, 0, 1])), rng)
-        assert qcore.equal_up_to_phase(post, qcore.bell_state(outcome))
-
     def test_single_qubit_register_rejected(self):
-        decoy = qcore.eigenstate(Basis.Z, 0)
+        decoy = eigen(Basis.Z, 0)
         with pytest.raises(ValueError, match="needs a pair"):
-            qcore.bell_measure(decoy, np.random.default_rng(0))
+            qcore.bell_outcome(decoy, 0.0)
         with pytest.raises(ValueError, match="needs a pair"):
             qcore.bell_probabilities(decoy)
-
-
-class FixedDraw:
-    """Stand-in generator whose every `random()` returns the same uniform."""
-
-    def __init__(self, u):
-        self.u = u
-
-    def random(self):
-        return self.u
 
 
 # the smallest and the largest value `Generator.random()` can return
@@ -282,33 +291,29 @@ class TestCertainOutcomesAtEdgeDraws:
     @pytest.mark.parametrize("u", EDGE_DRAWS)
     @pytest.mark.parametrize("label", ALL_LABELS)
     def test_bell_measure_of_a_bell_state(self, label, u):
-        outcome, post = qcore.bell_measure(qcore.bell_state(label), FixedDraw(u))
-        assert outcome == label
-        assert qcore.equal_up_to_phase(post, qcore.bell_state(label))
+        assert qcore.bell_outcome(bell(label), u) == code(label)
 
     @pytest.mark.parametrize("u", EDGE_DRAWS)
     @pytest.mark.parametrize("basis", [Basis.Z, Basis.X])
     @pytest.mark.parametrize("value", [0, 1])
     def test_eigenstate_in_its_own_basis(self, basis, value, u):
-        state = qcore.eigenstate(basis, value)
-        outcome, post = qcore.measure_in_basis(state, 0, basis, FixedDraw(u))
+        state = eigen(basis, value)
+        outcome, post = qcore.collapse_qubit(state, basis_code(basis), u)
         assert outcome == value
         assert qcore.equal_up_to_phase(post, state)
 
 
 class TestEqualUpToPhase:
     def test_global_phase_ignored(self):
-        state = qcore.bell_state(BellLabel(0, 1))
+        state = bell(BellLabel(0, 1))
         flipped = PureState(2, -state.amplitudes)
         rotated = PureState(2, np.exp(1j * 0.7) * state.amplitudes)
         assert qcore.equal_up_to_phase(state, flipped)
         assert qcore.equal_up_to_phase(state, rotated)
 
     def test_orthogonal_states_differ(self):
-        assert not qcore.equal_up_to_phase(
-            qcore.bell_state(BellLabel(0, 0)), qcore.bell_state(BellLabel(1, 1))
-        )
+        assert not qcore.equal_up_to_phase(bell(BellLabel(0, 0)), bell(BellLabel(1, 1)))
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            qcore.equal_up_to_phase(qcore.eigenstate(Basis.Z, 0), qcore.bell_state(BellLabel(0, 0)))
+            qcore.equal_up_to_phase(eigen(Basis.Z, 0), bell(BellLabel(0, 0)))
