@@ -73,7 +73,7 @@ def parity_rule_table() -> CheckResult:
     grid = itertools.product(enumerate(BELL_LABELS), enumerate(KEYS), enumerate(labels.BASES))
     for (pair, label), (key, total), (code, basis) in grid:
         dist = _joint_parity_distribution(qcore.pauli(qcore.bell_state(pair), key), code)
-        rule = protocol.deduce_parity(label, total, basis)
+        rule = protocol.deduce_parity(pair, key, code)
         if not dist[rule] > 1.0 - 1e-12:
             failures.append(
                 f"label {tuple(label)} total {tuple(total)} basis {basis.value}: "

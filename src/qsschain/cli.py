@@ -43,7 +43,7 @@ def _add_scenario_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, help="master seed (overrides file and environment)")
     parser.add_argument(
         "--threads", type=int, default=1,
-        help="accepted for compatibility, no effect: trials run in one thread",
+        help="an integer >= 1, accepted for compatibility; no effect: trials run in one thread",
     )
 
 
@@ -84,6 +84,8 @@ def _resolve_config(args: argparse.Namespace) -> ScenarioConfig:
                     "seed", f"${SEED_ENV_VAR} must be an integer, got {env_seed!r}"
                 ) from err
     config.validate()
+    if args.threads < 1:  # argparse has already refused a non-integer
+        raise ConfigError("threads", f"must be an integer >= 1, got {args.threads}")
     return config
 
 
@@ -109,7 +111,7 @@ def _summary_line(report: harness.RunReport) -> str:
 
 def cmd_run(args: argparse.Namespace) -> int:
     config = _resolve_config(args)
-    report = harness.run_trials(config, threads=args.threads)
+    report = harness.run_trials(config)
     if args.out:
         harness.write_report(report, args.out, args.format)
     print(_summary_line(report))
@@ -137,7 +139,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     configs = [base.replace(**{args.axis: value}) for value in values]
     for config in configs:  # reject a bad value before any row runs
         config.validate()
-    reports = [harness.run_trials(config, threads=args.threads) for config in configs]
+    reports = [harness.run_trials(config) for config in configs]
     harness.write_csv(reports, args.out)
     for value, report in zip(values, reports):
         print(f"{args.axis}={value} {_summary_line(report)}")

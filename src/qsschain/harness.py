@@ -23,7 +23,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import adversary, labels, protocol
-from .config import ConfigError, ScenarioConfig, config_from_dict
+from .config import ScenarioConfig, config_from_dict
 
 __all__ = [
     "RunReport",
@@ -126,38 +126,35 @@ def _binomial_ci(successes: int, trials: int) -> tuple[float, float, float]:
     return successes / trials, lower(successes / trials), 1 - lower((trials - successes) / trials)
 
 
-def run_trials(config: ScenarioConfig, threads: int = 1) -> RunReport:
+def run_trials(config: ScenarioConfig) -> RunReport:
     """Run the configured number of seeded trials and aggregate the outcomes.
 
     Trials run serially in the calling thread, each on its own stream from
-    `trial_generator`. `threads` must be an integer >= 1 and has no effect;
-    it is accepted so existing callers keep working.
+    `trial_generator`; the exact companion counts `protocol.sampled_pairs`.
     """
     config.validate()
-    if isinstance(threads, bool) or not isinstance(threads, int) or threads < 1:
-        raise ConfigError("threads", f"must be an integer >= 1, got {threads!r}")
     detected = undetected_collusion = recovered = 0
-    attacked_errors = attacked_decoys = all_errors = all_decoys = 0
+    attacked_errors = attacked_hops = all_errors = all_hops = 0
     for index in range(config.trials):
         transcript = protocol.run_distribution(config, trial_generator(config.seed, index))
         detected += transcript.detected
         if config.attack == "collusion" and not transcript.detected:
             undetected_collusion += 1
             recovered += transcript.attacker_secret == transcript.extracted_secret
-        for check in transcript.decoy_checks:
+        for check in transcript.decoy_checks:  # each hop carries config.d decoys
             all_errors += check.error_count
-            all_decoys += check.decoy_count
+            all_hops += 1
             if check.attacked:
                 attacked_errors += check.error_count
-                attacked_decoys += check.decoy_count
+                attacked_hops += 1
 
     detection_rate, ci_low, ci_high = _binomial_ci(detected, config.trials)
-    if attacked_decoys > 0:
-        per_decoy = attacked_errors / attacked_decoys
-    elif all_decoys > 0:
-        per_decoy = all_errors / all_decoys
-    else:
+    if config.d == 0:
         per_decoy = 0.0
+    elif attacked_hops > 0:
+        per_decoy = attacked_errors / (attacked_hops * config.d)
+    else:
+        per_decoy = all_errors / (all_hops * config.d)
     recovery: Optional[float] = None
     if config.attack == "collusion" and undetected_collusion > 0:
         recovery = recovered / undetected_collusion
@@ -165,8 +162,7 @@ def run_trials(config: ScenarioConfig, threads: int = 1) -> RunReport:
     if config.attack == "none":
         exact = 0.0  # untouched noiseless channel: no check can fire
     else:
-        sampled = math.ceil(config.check_fraction * config.m) if config.check == "improved" else 0
-        exact = exact_detection(config.attack, config.d, sampled)
+        exact = exact_detection(config.attack, config.d, protocol.sampled_pairs(config))
     return RunReport(
         config=config,
         trials=config.trials,

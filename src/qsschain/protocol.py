@@ -3,26 +3,27 @@
 One run: a dealer (Alice) prepares m Bell pairs with random labels, keeps
 the first particle of each and sends the second down a chain of n
 participants. Every hop is protected by decoy particles drawn uniformly
-from {|0>, |1>, |+>, |->}: the receiver measures each decoy in its
-announced preparation basis and compares, so an outside eavesdropper who
-measures in-transit particles shows up as decoy errors. Each participant
-applies a Pauli encoding U_{u,v} keyed by its private bits to every
-traveling particle. When the particles return, Alice measures each pair in
-the Bell basis; the XOR of prepared and readout labels equals the XOR of
-all participants' keys, which is the shared secret.
+from {|0>, |1>, |+>, |->}: the receiver measures each decoy in the
+preparation basis the sender reveals and compares, so an outside
+eavesdropper who measures in-transit particles shows up as decoy errors.
+Each participant applies a Pauli encoding U_{u,v} keyed by its private
+bits to every traveling particle. When the particles return, Alice
+measures each pair in the Bell basis; the XOR of prepared and readout
+labels equals the XOR of all participants' keys, which is the shared
+secret.
 
 Two final verification variants are supported:
 
 * original: the last hop is checked with the last participant's decoys
   only, like every other hop.
-* improved: additionally, Alice samples a fraction of the pairs, measures
-  her retained particle in a random Z/X basis, has every participant
-  publish (in a recorded random order) the key used at those positions,
-  then measures the returned particle in the same basis. The outcome
-  parity of an intact pair is determined by the prepared label and the
-  published key total (`deduce_parity`), so a substituted or disturbed
-  particle shows up as a parity mismatch. Sampled pairs are consumed and
-  excluded from the secret payload.
+* improved: additionally, Alice samples `sampled_pairs(config)` of the
+  pairs, measures her retained particle in a random Z/X basis, has every
+  participant publish the key used at those positions, then measures the
+  returned particle in the same basis. The outcome parity of an intact
+  pair is determined by the prepared label and the published key total
+  (`deduce_parity`), so a substituted or disturbed particle shows up as a
+  parity mismatch. Sampled pairs are consumed and excluded from the secret
+  payload.
 
 The run is written once, in `_run`, over a register algebra: a module
 offering `bell_pairs`, `eigenstates`, `pauli`, `collapse`,
@@ -38,8 +39,10 @@ take the algebra. `adversary` describes both attacks.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Optional, Sequence
 
 import numpy as np
@@ -63,27 +66,21 @@ class ParticipantKey:
 
 @dataclass
 class DecoyCheckResult:
-    """Outcome of one hop's decoy comparison."""
+    """Outcome of one hop's decoy comparison; the hop passes with no errors."""
 
     hop: int
     error_count: int
-    decoy_count: int
-    passed: bool
     attacked: bool
 
 
 @dataclass
 class ImprovedCheckEntry:
-    """One sampled position of the pair-sampling parity check."""
+    """One sampled position of the pair-sampling parity check: basis and both outcomes."""
 
     position: int
     basis: Basis
     x_outcome: int
-    announced: list[tuple[int, PauliKey]]
-    total_published: PauliKey
     y_outcome: int
-    deduced_parity: int
-    matched: bool
 
 
 @dataclass
@@ -202,65 +199,66 @@ def extract_secret(
     return bits
 
 
-def deduce_parity(prepared: BellLabel, total_published: PauliKey, basis: Basis) -> int:
-    """Parity of same-basis outcomes on both qubits of an intact pair.
+def deduce_parity(prepared: int, total: int, basis: int) -> int:
+    """Outcome parity of an intact pair measured in `basis`, all arguments codes.
 
-    After the published total key acts on the traveling qubit the pair is
+    After the published key total acts on the traveling qubit the pair is
     |Psi_{x^U, y^V}> up to phase; measuring both qubits in the Z basis
     gives outcome parity x^U, in the X basis y^V.
     """
-    if basis is Basis.Z:
-        return prepared.x ^ total_published.u
-    return prepared.y ^ total_published.v
+    return (prepared ^ total) >> (1 - basis) & 1
+
+
+@functools.cache  # called once per trial; the Fraction parse alone takes about 7 us
+def sampled_pairs(config: ScenarioConfig) -> int:
+    """Pairs the improved check samples, 0 under the original check.
+
+    ceil(f * m) for the decimal f the fraction prints as: 0.14 of 50 pairs
+    is 7, not the 8 that the float product 7.000000000000001 rounds up to.
+    """
+    if config.check != "improved":
+        return 0
+    return math.ceil(Fraction(str(config.check_fraction)) * config.m)
 
 
 def improved_check(
     alg,
     pairs: list,
-    prepared: Sequence[BellLabel],
-    fraction: float,
-    announcements: Sequence[ParticipantKey],
+    prepared: Sequence[int],
+    sampled: int,
+    keys: Sequence[Sequence[int]],
     rng: np.random.Generator,
 ) -> ImprovedCheckRecord:
-    """Sample pairs, collect published keys, and compare outcome parities.
+    """Sample `sampled` pairs, collect published keys, and compare outcome parities.
 
-    For each sampled position: Alice measures her retained particle in a
-    random Z/X basis, every participant publishes its key for that position
-    (announcement order is a recorded random permutation), Alice measures
-    the returned particle in the same basis and checks the outcome parity
+    `prepared` holds the pairs' Bell codes and `keys[i][p]` the key code
+    participant i + 1 applied at position p + 1. For each sampled position:
+    Alice measures her retained particle in a random Z/X basis, every
+    participant publishes its key for that position, Alice measures the
+    returned particle in the same basis and checks the outcome parity
     against `deduce_parity` on the XOR of the published keys. Sampled pairs
     are consumed: their entries in `pairs` are replaced by the measured
     registers.
 
     Returns the per-position record; `passed` is True iff every sampled
-    position matched.
+    parity agrees.
     """
-    m = len(pairs)
-    chosen = sorted(rng.choice(m, size=math.ceil(fraction * m), replace=False).tolist())
+    chosen = sorted(rng.choice(len(pairs), size=sampled, replace=False).tolist())
     entries = []
+    passed = True
     for idx in chosen:
         basis = int(rng.integers(2))
         x_outcome, pairs[idx] = alg.collapse(pairs[idx], RETAINED_QUBIT, basis, rng.random())
-        order = rng.permutation(len(announcements)).tolist()
-        announced = [(announcements[j].owner, announcements[j].keys[idx]) for j in order]
-        total = 0
-        for _, (u, v) in announced:
-            total ^= 2 * u + v
+        # the keys' publication order is drawn and dropped: their XOR does not depend
+        # on it, and the draw keeps the generator schedule of intercept-resend reports
+        rng.permutation(len(keys))
         y_outcome, pairs[idx] = alg.collapse(pairs[idx], TRAVELING_QUBIT, basis, rng.random())
-        deduced = deduce_parity(prepared[idx], labels.KEYS[total], labels.BASES[basis])
-        entries.append(
-            ImprovedCheckEntry(
-                position=idx + 1,
-                basis=labels.BASES[basis],
-                x_outcome=x_outcome,
-                announced=announced,
-                total_published=labels.KEYS[total],
-                y_outcome=y_outcome,
-                deduced_parity=deduced,
-                matched=(x_outcome ^ y_outcome) == deduced,
-            )
-        )
-    return ImprovedCheckRecord(entries, passed=all(e.matched for e in entries))
+        total = 0
+        for own in keys:
+            total ^= own[idx]
+        passed &= (x_outcome ^ y_outcome) == deduce_parity(prepared[idx], total, basis)
+        entries.append(ImprovedCheckEntry(idx + 1, labels.BASES[basis], x_outcome, y_outcome))
+    return ImprovedCheckRecord(entries, passed)
 
 
 def read_probes(alg, probes: Sequence, rng: np.random.Generator) -> list[PauliKey]:
@@ -297,7 +295,7 @@ def _run(alg, config: ScenarioConfig, rng: np.random.Generator) -> Transcript:
         if hop == eve_hop:  # she measures every particle; travelers collapse in place
             intercept_resend(alg, slots, arrived, travelers, rng)
         errors = verify_decoys(alg, plan, arrived, rng)
-        decoy_checks.append(DecoyCheckResult(hop, errors, d, errors == 0, hop == eve_hop))
+        decoy_checks.append(DecoyCheckResult(hop, errors, hop == eve_hop))
 
     pairs = alg.bell_pairs(codes)
     ship(0, pairs)
@@ -325,7 +323,7 @@ def _run(alg, config: ScenarioConfig, rng: np.random.Generator) -> Transcript:
     improved = None
     sampled: set[int] = set()
     if config.check == "improved":
-        improved = improved_check(alg, pairs, prepared, config.check_fraction, keys, rng)
+        improved = improved_check(alg, pairs, codes, sampled_pairs(config), key_codes, rng)
         sampled = set(improved.sampled_positions)
 
     payload_positions = [p for p in range(1, m + 1) if p not in sampled]
@@ -343,7 +341,7 @@ def _run(alg, config: ScenarioConfig, rng: np.random.Generator) -> Transcript:
             total = key_codes[0][p - 1] ^ applied[p - 1]
             attacker_bits.extend((total >> 1, total & 1))
 
-    detected = any(not c.passed for c in decoy_checks) or (
+    detected = any(c.error_count for c in decoy_checks) or (
         improved is not None and not improved.passed
     )
     return Transcript(

@@ -8,7 +8,11 @@ same bounds. All runs are seeded, so the gate is deterministic.
 import itertools
 import json
 import math
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 from qsschain import checks, harness, protocol
 from qsschain.config import ScenarioConfig
@@ -35,7 +39,7 @@ def test_criterion_1_honest_correctness():
             rng = harness.trial_generator(base_seed, index)
             transcript = protocol.run_distribution(config, rng)
             runs += 1
-            if transcript.detected or not all(c.passed for c in transcript.decoy_checks):
+            if transcript.detected or any(c.error_count for c in transcript.decoy_checks):
                 check_failures += 1
                 continue
             expected = []
@@ -178,17 +182,40 @@ def test_criterion_6_improved_check_finding():
     )
 
 
-def test_criterion_7_determinism():
-    """Same seed, 1 vs many threads: bit-identical reports."""
-    serial = harness.run_trials(COLLUSION_SCENARIO, threads=1)
-    parallel = harness.run_trials(COLLUSION_SCENARIO, threads=8)
-    same_fields = serial == parallel
-    serial_bytes = json.dumps(serial.to_dict(), indent=2).encode()
-    parallel_bytes = json.dumps(parallel.to_dict(), indent=2).encode()
-    passed = same_fields and serial_bytes == parallel_bytes
+def test_criterion_7_determinism(tmp_path):
+    """Same seed, two fresh interpreters with different hash seeds: bit-identical reports.
+
+    `qsschain run` writes each report once under PYTHONHASHSEED=1 and once
+    under 2; both files must equal the bytes `run_trials` gives in this
+    process. The headline report does not depend on the draws (its rates
+    are exactly 0 and 1), so the same scenario under intercept-resend and
+    the improved check, whose rates move with every draw, runs as well.
+    """
+    src = str(Path(harness.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    scenarios = [
+        COLLUSION_SCENARIO,
+        COLLUSION_SCENARIO.replace(attack="intercept_resend", check="improved"),
+    ]
+    same = True
+    for index, config in enumerate(scenarios):
+        in_process = tmp_path / f"in-process-{index}.json"
+        harness.write_report(harness.run_trials(config), in_process)
+        scenario = tmp_path / f"scenario-{index}.json"
+        scenario.write_text(json.dumps(config.to_dict()))
+        for hash_seed in ("1", "2"):
+            out = tmp_path / f"report-{index}-{hash_seed}.json"
+            subprocess.run(
+                [sys.executable, "-m", "qsschain.cli", "run", "--scenario", str(scenario),
+                 "--out", str(out)],
+                env=dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=path),
+                capture_output=True,
+            )
+            same &= out.exists() and out.read_bytes() == in_process.read_bytes()
     _verdict(
         7,
-        passed,
-        f"determinism: 1-thread and 8-thread reports "
-        f"{'bit-identical' if passed else 'DIFFER'} ({len(serial_bytes)} serialized bytes)",
+        same,
+        f"determinism: headline collusion and intercept-resend reports of two fresh "
+        f"interpreters (PYTHONHASHSEED 1 and 2) and of this process "
+        f"{'bit-identical' if same else 'DIFFER'}",
     )

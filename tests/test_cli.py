@@ -102,6 +102,18 @@ class TestScenarioResolution:
         assert named in err
         assert err.startswith("configuration error:")
 
+    @pytest.mark.parametrize("threads", ["0", "1.5", "True", "two"])
+    def test_bad_thread_count_names_its_field(self, threads, tmp_path, capsys):
+        """`--threads` has no effect but must still be an integer >= 1."""
+        sweep = ("sweep", "--axis", "d", "--values", "1", "--out", str(tmp_path / "r.csv"))
+        for command in (("run",), sweep):
+            try:
+                code = run_cli(*command, "--trials", "1", "--threads", threads)
+            except SystemExit as refused:  # argparse rejects a non-integer itself
+                code = refused.code
+            assert code == 2
+            assert "threads" in capsys.readouterr().err
+
     def test_scenario_file_with_flag_overrides(self, tmp_path, capsys):
         scenario = tmp_path / "s.json"
         scenario.write_text(json.dumps({"n": 2, "m": 2, "d": 1, "trials": 4, "seed": 3}))
@@ -249,8 +261,8 @@ class TestVerify:
         monkeypatch.setattr(checks, "DIFFERENTIAL_TRIALS", 1)
         true_rule = protocol.deduce_parity
 
-        def inverted(prepared, total_published, basis):
-            return true_rule(prepared, total_published, basis) ^ 1
+        def inverted(prepared, total, basis):
+            return true_rule(prepared, total, basis) ^ 1
 
         monkeypatch.setattr(protocol, "deduce_parity", inverted)
         code = run_cli("verify")

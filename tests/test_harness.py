@@ -1,6 +1,7 @@
 """Harness tests: trial streams, aggregation, exact companions, report files."""
 
 import csv
+import inspect
 import json
 import math
 import threading
@@ -9,7 +10,7 @@ from fractions import Fraction
 import pytest
 
 from qsschain import harness, labels, protocol
-from qsschain.config import ConfigError, ScenarioConfig
+from qsschain.config import ScenarioConfig
 from qsschain.harness import ReportWriteError, RunReport
 
 
@@ -97,8 +98,8 @@ class TestRunTrials:
         second = harness.run_trials(config)
         assert first == second
 
-    def test_threads_start_no_thread(self, monkeypatch):
-        """Trials run in the calling thread, so `threads` changes nothing in the report."""
+    def test_trials_run_in_the_calling_thread(self, monkeypatch):
+        """Trials run serially in the calling thread; the config is the only argument."""
         idents = []
         run_distribution = protocol.run_distribution
 
@@ -108,24 +109,28 @@ class TestRunTrials:
 
         monkeypatch.setattr(protocol, "run_distribution", recording)
         config = ScenarioConfig(n=2, m=2, d=3, attack="intercept_resend", trials=64, seed=6)
-        parallel = harness.run_trials(config, threads=4)
+        harness.run_trials(config)
         assert idents == [threading.get_ident()] * config.trials
-        assert parallel == harness.run_trials(config, threads=1)
+        assert list(inspect.signature(harness.run_trials).parameters) == ["config"]
 
-    def test_bad_thread_count(self):
-        with pytest.raises(ValueError):
-            harness.run_trials(ScenarioConfig(trials=1), threads=0)
+    def test_draw_schedule_is_kept(self):
+        """Bytes of a fixed intercept-resend report under the improved check.
 
-    def test_bad_thread_count_names_its_field(self):
-        with pytest.raises(ConfigError) as caught:
-            harness.run_trials(ScenarioConfig(trials=1), threads=0)
-        assert caught.value.field == "threads"
-
-    @pytest.mark.parametrize("threads", [1.5, True, "2"])
-    def test_non_integer_thread_count_rejected(self, threads):
-        with pytest.raises(ConfigError) as caught:
-            harness.run_trials(ScenarioConfig(trials=1), threads=threads)
-        assert caught.value.field == "threads"
+        Every uniform the run draws can move an intercept-resend outcome, so
+        these bytes change with the draw schedule, for instance if the
+        improved check stops drawing the key-publication order it discards.
+        """
+        config = ScenarioConfig(
+            n=3, m=6, d=1, attack="intercept_resend", check="improved",
+            check_fraction=0.5, trials=40, seed=2024,
+        )
+        assert json.dumps(harness.run_trials(config).to_dict(), sort_keys=True) == (
+            '{"ci_high": 0.7991568303733828, "ci_low": 0.52017458088898, "config": '
+            '{"attack": "intercept_resend", "check": "improved", "check_fraction": 0.5, '
+            '"d": 1, "m": 6, "n": 3, "seed": 2024, "trials": 40}, "detection_rate": 0.675, '
+            '"exact_detection": 0.68359375, "per_decoy_error_rate": 0.225, '
+            '"secret_recovery_rate": null, "trials": 40}'
+        )
 
 
 class TestExactDetection:
@@ -149,6 +154,20 @@ class TestExactDetection:
         assert report.exact_detection == closed_form
         se = math.sqrt(closed_form * (1.0 - closed_form) / config.trials)
         assert abs(report.detection_rate - closed_form) < 3 * se
+
+    @pytest.mark.parametrize(
+        "m,fraction,sampled",
+        [(100, 0.07, 7), (50, 0.14, 7), (16, 0.5, 8), (3, 0.25, 1), (5, 1.0, 5), (50, 1.0, 50)],
+    )
+    def test_sampled_pairs_follow_the_decimal_fraction(self, m, fraction, sampled):
+        """ceil(f * m) of the decimal f: 0.14 * 50 is 7.000000000000001 as a float."""
+        config = ScenarioConfig(
+            n=2, m=m, d=0, attack="intercept_resend", check="improved",
+            check_fraction=fraction, trials=1, seed=m,
+        )
+        transcript = protocol.run_distribution(config, harness.trial_generator(config.seed, 0))
+        assert len(transcript.improved_check.entries) == sampled
+        assert harness.run_trials(config).exact_detection == float(1 - Fraction(3, 4) ** sampled)
 
     def test_monotone_in_decoy_count(self):
         values = [harness.exact_detection("intercept_resend", d) for d in range(9)]

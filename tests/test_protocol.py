@@ -182,9 +182,10 @@ class TestExtractSecret:
 
 class TestDeduceParity:
     def test_frozen_cases(self):
-        assert protocol.deduce_parity(BellLabel(0, 0), PauliKey(0, 0), Basis.Z) == 0
-        assert protocol.deduce_parity(BellLabel(1, 0), PauliKey(0, 1), Basis.Z) == 1
-        assert protocol.deduce_parity(BellLabel(1, 0), PauliKey(0, 1), Basis.X) == 1
+        """Bell code 2x + y, key code 2u + v, basis code 0 (Z) or 1 (X)."""
+        assert protocol.deduce_parity(0, 0, labels.Z) == 0  # label (0,0), key (0,0)
+        assert protocol.deduce_parity(2, 1, labels.Z) == 1  # label (1,0), key (0,1): x^u
+        assert protocol.deduce_parity(2, 1, labels.X) == 1  # y^v
 
     @pytest.mark.parametrize("label", ALL_LABELS)
     @pytest.mark.parametrize("total", ALL_KEYS)
@@ -196,48 +197,61 @@ class TestDeduceParity:
         for a, b in itertools.product((0, 1), repeat=2):
             projector = np.kron(eigen(basis, a).amplitudes, eigen(basis, b).amplitudes)
             parity_prob[a ^ b] += abs(np.vdot(projector, state.amplitudes)) ** 2
-        rule = protocol.deduce_parity(label, total, basis)
+        rule = protocol.deduce_parity(
+            2 * label.x + label.y, 2 * total.u + total.v, labels.BASES.index(basis)
+        )
         assert parity_prob[rule] == pytest.approx(1.0, abs=1e-9)
+
+
+def recomputed_match(entry, prepared, keys):
+    """Whether an entry's outcome parity is what `deduce_parity` gives for its key total."""
+    total = 0
+    for own in keys:
+        total ^= own[entry.position - 1]
+    basis = labels.BASES.index(entry.basis)
+    parity = protocol.deduce_parity(prepared[entry.position - 1], total, basis)
+    return entry.x_outcome ^ entry.y_outcome == parity
 
 
 class TestImprovedCheck:
     def _setup(self, m, n_participants, rng):
+        """Encoded dense pairs, their Bell codes and the n x m grid of key codes."""
         codes = rng.integers(0, 4, size=m).tolist()
-        prepared = [BELL_LABELS[code] for code in codes]
         pairs = qcore.bell_pairs(codes)
         keys = []
-        for owner in range(1, n_participants + 1):
+        for _ in range(n_participants):
             bits = rng.integers(0, 2, size=(m, 2))
-            key = ParticipantKey(owner, [PauliKey(int(u), int(v)) for u, v in bits])
-            pairs = protocol.encode_key(qcore, pairs, key_codes(key.keys))
-            keys.append(key)
-        return pairs, prepared, keys
+            own = key_codes(bits.tolist())
+            pairs = protocol.encode_key(qcore, pairs, own)
+            keys.append(own)
+        return pairs, codes, keys
 
     def test_honest_pairs_always_match(self):
         for seed in range(25):
             rng = np.random.default_rng(seed)
             pairs, prepared, keys = self._setup(8, 3, rng)
-            result = protocol.improved_check(qcore, pairs, prepared, 0.5, keys, rng)
+            result = protocol.improved_check(qcore, pairs, prepared, 4, keys, rng)
             assert result.passed
             assert len(result.entries) == 4
             for entry in result.entries:
-                assert entry.matched
-                assert entry.total_published == protocol.key_total(keys, entry.position)
+                assert recomputed_match(entry, prepared, keys)
 
     @pytest.mark.parametrize(
         "m,fraction,expected", [(8, 0.5, 4), (5, 0.5, 3), (8, 1.0, 8), (8, 0.01, 1)]
     )
     def test_sample_size_is_ceil(self, m, fraction, expected):
+        config = ScenarioConfig(m=m, check="improved", check_fraction=fraction)
+        assert protocol.sampled_pairs(config) == expected
+        assert protocol.sampled_pairs(config.replace(check="original")) == 0
         rng = np.random.default_rng(13)
         pairs, prepared, keys = self._setup(m, 2, rng)
-        result = protocol.improved_check(qcore, pairs, prepared, fraction, keys, rng)
+        result = protocol.improved_check(qcore, pairs, prepared, expected, keys, rng)
         assert len(result.entries) == expected
-        assert math.ceil(fraction * m) == expected
 
     def test_sampled_pairs_are_consumed(self):
         rng = np.random.default_rng(15)
         pairs, prepared, keys = self._setup(4, 2, rng)
-        result = protocol.improved_check(qcore, pairs, prepared, 1.0, keys, rng)
+        result = protocol.improved_check(qcore, pairs, prepared, 4, keys, rng)
         assert sorted(result.sampled_positions) == [1, 2, 3, 4]
         for entry in result.entries:
             measured = np.kron(
@@ -271,7 +285,7 @@ class TestImprovedCheck:
                     eigen(Basis.Z, 0).amplitudes,
                 ),
             )
-            result = protocol.improved_check(qcore, pairs, prepared, 1.0, keys, rng)
+            result = protocol.improved_check(qcore, pairs, prepared, 1, keys, rng)
             mismatches += 0 if result.passed else 1
         rate = mismatches / trials
         assert abs(rate - 0.5) < 3 * math.sqrt(0.25 / trials)
@@ -286,7 +300,7 @@ class TestImprovedCheck:
                 1, 2, np.random.default_rng(int(rng.integers(2**32)))
             )
             _, pairs[0] = qcore.collapse(pairs[0], TRAVELING_QUBIT, labels.Z, rng.random())
-            result = protocol.improved_check(qcore, pairs, prepared, 1.0, keys, rng)
+            result = protocol.improved_check(qcore, pairs, prepared, 1, keys, rng)
             mismatches += 0 if result.passed else 1
         rate = mismatches / trials
         assert abs(rate - 0.25) < 3 * math.sqrt(0.25 * 0.75 / trials)
@@ -298,12 +312,33 @@ class TestRunDistribution:
         transcript = protocol.run_distribution(config, np.random.default_rng(100))
         assert len(transcript.participant_keys) == 3
         assert [c.hop for c in transcript.decoy_checks] == [0, 1, 2, 3]
-        assert all(c.decoy_count == 4 and c.error_count == 0 for c in transcript.decoy_checks)
+        assert all(c.error_count == 0 and not c.attacked for c in transcript.decoy_checks)
         assert not transcript.detected
         assert transcript.improved_check is None
         assert transcript.payload_positions == list(range(1, 9))
         assert len(transcript.extracted_secret) == 16
         assert transcript.attacker_secret is None
+
+    def test_detection_is_a_recomputed_parity_mismatch(self):
+        """With no decoys, an intercept-resend run is detected iff a sampled parity mismatches.
+
+        The parity each entry should show is recomputed with `deduce_parity`
+        from the transcript's prepared label and the key total at its
+        position; both verdicts occur over the seeds.
+        """
+        verdicts = set()
+        for seed in range(40):
+            config = ScenarioConfig(
+                n=3, m=6, d=0, attack="intercept_resend", check="improved", trials=1, seed=seed
+            )
+            transcript = protocol.run_distribution(config, np.random.default_rng(seed))
+            prepared = [2 * label.x + label.y for label in transcript.prepared]
+            keys = [key_codes(participant.keys) for participant in transcript.participant_keys]
+            entries = transcript.improved_check.entries
+            mismatch = any(not recomputed_match(entry, prepared, keys) for entry in entries)
+            assert transcript.detected == mismatch
+            verdicts.add(mismatch)
+        assert verdicts == {False, True}
 
     @pytest.mark.parametrize("check", ["original", "improved"])
     @pytest.mark.parametrize("seed", range(8))
