@@ -2,10 +2,11 @@
 
 The one run of `protocol` plays the attack of `config.attack` inline, on
 either register algebra, with the steps `protocol.read_probes` and
-`protocol.intercept_resend`. This module holds the probe pairs' label,
-which the run starts from, the rule that turns a probe's Bell outcome into
-the composite middle key (`recover_composite`, which `read_probes` calls),
-and the proof that the collusion leaves no trace (`collusion_failures`).
+`protocol.intercept_resend`. This module holds the probe pairs' Bell code
+`PROBE`, which the run starts from, the rule that turns a probe's Bell
+outcome code into the composite middle-key code (`recover_composite`,
+which `read_probes` calls), and the proof that the collusion leaves no
+trace (`collusion_failures`). It works on the codes stated in `qcore`.
 
 * collusion: the first and last participants cooperate. Before the run,
   the first participant prepares one probe pair |Psi_11> per position and
@@ -16,7 +17,7 @@ and the proof that the collusion leaves no trace (`collusion_failures`).
   The middle participants unknowingly encode their keys onto the probe
   halves, so a Bell measurement of each probe pair reveals the XOR of all
   middle keys: |Psi_11> shifts to |Psi_{1^U, 1^V}>, hence the composite key
-  is the measured label with both bits flipped (`recover_composite`,
+  code is the measured Bell code XOR 3 (`recover_composite`,
   `protocol.read_probes`). The last participant then applies its own key
   composed with the recovered composite to the relayed genuine particles
   and returns them to the dealer. The dealer's pairs end up carrying
@@ -36,20 +37,18 @@ from __future__ import annotations
 
 import itertools
 
-from . import labels, qcore
-from .qcore import BELL_LABELS, BellLabel, PauliKey
+from . import qcore
 
-PROBE_LABEL = BellLabel(1, 1)
+PROBE = 3  # Bell code of |Psi_11>, the state of every probe pair
 
 
-def recover_composite(measured: BellLabel) -> PauliKey:
-    """Composite middle key from a probe pair's Bell outcome.
+def recover_composite(measured: int) -> int:
+    """Composite middle-key code from a probe pair's Bell outcome code.
 
-    The probe starts at label (1,1); middle keys shift the traveling half
-    by XOR, so a measured label (p, q) means the composite is (p^1, q^1).
+    The probe starts at |Psi_11>; middle keys XOR onto its Bell code, so a
+    measured code c means the composite is c ^ PROBE.
     """
-    measured = BellLabel(*measured)
-    return PauliKey(measured.x ^ 1, measured.y ^ 1)
+    return measured ^ PROBE
 
 
 def collusion_failures() -> list[str]:
@@ -63,14 +62,14 @@ def collusion_failures() -> list[str]:
     genuine, so no check has anything to fire on. Empty when it holds.
     """
     failures = []
-    probe = qcore.bell_state(BELL_LABELS.index(PROBE_LABEL))
-    for composite, key in enumerate(labels.KEYS):
+    probe = qcore.bell_state(PROBE)
+    for composite in range(4):
         probs = qcore.bell_probabilities(qcore.pauli(probe, composite))
-        certain = [BELL_LABELS[code] for code, p in enumerate(probs) if p > 1.0 - 1e-12]
+        certain = [code for code, p in enumerate(probs) if p > 1.0 - 1e-12]
         if len(certain) != 1:
-            failures.append(f"probe outcome not certain for composite {tuple(key)}")
-        elif recover_composite(certain[0]) != key:
-            failures.append(f"composite {tuple(key)} not recovered from {tuple(certain[0])}")
+            failures.append(f"probe outcome not certain for composite key {composite}")
+        elif recover_composite(certain[0]) != composite:
+            failures.append(f"composite key {composite} not recovered from Bell code {certain[0]}")
         for boundary, prepared in itertools.product(range(4), range(4)):
             total = composite ^ boundary  # a key code XORs onto the Bell code it acts on
             probs = qcore.bell_probabilities(qcore.pauli(qcore.bell_state(prepared), total))

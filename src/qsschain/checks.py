@@ -2,7 +2,8 @@
 
 Each suite re-derives an algebraic rule of the simulator from the state
 vectors alone and counts disagreements, so a regression in either the
-engine or the bookkeeping shows up as named failing cases.
+engine or the bookkeeping shows up as named failing cases. The suites
+work on the integer codes stated in `qcore`.
 """
 
 from __future__ import annotations
@@ -15,8 +16,8 @@ import numpy as np
 
 from . import adversary, harness, labels, protocol, qcore
 from .config import ATTACK_KINDS, CHECK_KINDS, ScenarioConfig
-from .labels import KEYS
-from .qcore import BELL_LABELS
+
+_BASIS_NAMES = "ZX"  # by basis code
 
 
 @dataclass
@@ -33,27 +34,24 @@ class CheckResult:
 def pauli_bell_label_table() -> CheckResult:
     """16 cases: every key on every Bell label, state vs the label engine's rule."""
     failures = []
-    for (pair, label), (key, bits) in itertools.product(enumerate(BELL_LABELS), enumerate(KEYS)):
+    for pair, key in itertools.product(range(4), range(4)):
         predicted = labels.pauli(pair, key)
         shifted = qcore.pauli(qcore.bell_state(pair), key)
         if not qcore.equal_up_to_phase(shifted, qcore.bell_state(predicted)):
-            predicted = tuple(BELL_LABELS[predicted])
-            failures.append(f"label {tuple(label)} key {tuple(bits)}: not {predicted}")
+            failures.append(f"Bell code {pair} key {key}: not Bell code {predicted}")
     return CheckResult("pauli/bell label table", 16, failures)
 
 
 def composition_law_table() -> CheckResult:
     """64 cases: composing two keys equals the XOR key on every Bell input."""
     failures = []
-    for (key1, bits1), (key2, bits2) in itertools.product(enumerate(KEYS), repeat=2):
-        for pair, label in enumerate(BELL_LABELS):
-            sequential = qcore.pauli(qcore.pauli(qcore.bell_state(pair), key1), key2)
-            direct = qcore.pauli(qcore.bell_state(pair), key1 ^ key2)
-            if not qcore.equal_up_to_phase(sequential, direct):
-                failures.append(
-                    f"keys {tuple(bits1)},{tuple(bits2)} on {tuple(label)}: "
-                    "composition is not the XOR key"
-                )
+    for key1, key2, pair in itertools.product(range(4), repeat=3):
+        sequential = qcore.pauli(qcore.pauli(qcore.bell_state(pair), key1), key2)
+        direct = qcore.pauli(qcore.bell_state(pair), key1 ^ key2)
+        if not qcore.equal_up_to_phase(sequential, direct):
+            failures.append(
+                f"keys {key1},{key2} on Bell code {pair}: composition is not the XOR key"
+            )
     return CheckResult("pauli composition law", 64, failures)
 
 
@@ -70,13 +68,12 @@ def _joint_parity_distribution(state: qcore.PureState, basis: int) -> dict[int, 
 def parity_rule_table() -> CheckResult:
     """32 cases: deduced parity vs brute-force both-qubit statistics."""
     failures = []
-    grid = itertools.product(enumerate(BELL_LABELS), enumerate(KEYS), enumerate(labels.BASES))
-    for (pair, label), (key, total), (code, basis) in grid:
-        dist = _joint_parity_distribution(qcore.pauli(qcore.bell_state(pair), key), code)
-        rule = protocol.deduce_parity(pair, key, code)
+    for pair, total, basis in itertools.product(range(4), range(4), (labels.Z, labels.X)):
+        dist = _joint_parity_distribution(qcore.pauli(qcore.bell_state(pair), total), basis)
+        rule = protocol.deduce_parity(pair, total, basis)
         if not dist[rule] > 1.0 - 1e-12:
             failures.append(
-                f"label {tuple(label)} total {tuple(total)} basis {basis.value}: "
+                f"Bell code {pair} total {total} basis {_BASIS_NAMES[basis]}: "
                 f"parity {rule} has probability {dist[rule]:.3f}"
             )
     return CheckResult("parity rule table", 32, failures)
@@ -173,14 +170,14 @@ def label_rule_table() -> CheckResult:
     for pair, qubit, basis in itertools.product(pairs, (0, 1), (labels.Z, labels.X)):
         cases += 1
         _check_measurement(
-            f"measure: pair {pair} qubit {qubit} basis {labels.BASES[basis].value}",
+            f"measure: pair {pair} qubit {qubit} basis {_BASIS_NAMES[basis]}",
             labels.measure(pair, qubit, basis),
             _pair_state(pair), qubit, basis, _pair_state, failures,
         )
     for qubit, basis in itertools.product(range(4), (labels.Z, labels.X)):
         cases += 1
         _check_measurement(
-            f"measure: decoy {qubit} basis {labels.BASES[basis].value}",
+            f"measure: decoy {qubit} basis {_BASIS_NAMES[basis]}",
             labels.measure_qubit(qubit, basis),
             qcore.eigenstate(qubit), 0, basis, qcore.eigenstate, failures,
         )

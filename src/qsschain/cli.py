@@ -19,7 +19,7 @@ import sys
 from typing import Optional
 
 from . import checks, harness
-from .config import ConfigError, ScenarioConfig, config_from_dict
+from .config import ATTACK_KINDS, CHECK_KINDS, ConfigError, ScenarioConfig, config_from_dict
 
 SEED_ENV_VAR = "QSS_SEED"
 
@@ -31,10 +31,8 @@ def _add_scenario_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--n", type=int, help="number of participants")
     parser.add_argument("--m", type=int, help="number of entangled pairs")
     parser.add_argument("--d", type=int, help="decoys per hop")
-    parser.add_argument(
-        "--attack", choices=("none", "collusion", "intercept_resend"), help="attack kind"
-    )
-    parser.add_argument("--check", choices=("original", "improved"), help="verification variant")
+    parser.add_argument("--attack", choices=ATTACK_KINDS, help="attack kind")
+    parser.add_argument("--check", choices=CHECK_KINDS, help="verification variant")
     parser.add_argument(
         "--check-fraction", type=float, dest="check_fraction",
         help="fraction of pairs sampled by the improved check",

@@ -9,6 +9,7 @@ trials of a batch run one after another in the calling thread.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import functools
 import io
 import itertools
@@ -39,16 +40,7 @@ __all__ = [
 
 _CI_Z = 1.96  # 95% two-sided normal quantile
 
-REPORT_COLUMNS = (
-    "config",
-    "trials",
-    "detection_rate",
-    "ci_low",
-    "ci_high",
-    "secret_recovery_rate",
-    "per_decoy_error_rate",
-    "exact_detection",
-)
+_NULLABLE_COLUMNS = ("secret_recovery_rate", "exact_detection")
 
 
 class ReportWriteError(OSError):
@@ -57,7 +49,12 @@ class ReportWriteError(OSError):
 
 @dataclass(frozen=True)
 class RunReport:
-    """Aggregated statistics of one scenario's trial batch."""
+    """Aggregated statistics of one scenario's trial batch.
+
+    Its fields, in order, are the report's columns (`REPORT_COLUMNS`).
+    Every column after `config` and `trials` is a float, and those in
+    `_NULLABLE_COLUMNS` may be None.
+    """
 
     config: ScenarioConfig
     trials: int
@@ -69,36 +66,22 @@ class RunReport:
     exact_detection: Optional[float]
 
     def to_dict(self) -> dict:
-        return {
-            "config": self.config.to_dict(),
-            "trials": self.trials,
-            "detection_rate": self.detection_rate,
-            "ci_low": self.ci_low,
-            "ci_high": self.ci_high,
-            "secret_recovery_rate": self.secret_recovery_rate,
-            "per_decoy_error_rate": self.per_decoy_error_rate,
-            "exact_detection": self.exact_detection,
-        }
+        return dataclasses.asdict(self)
 
     @staticmethod
     def from_dict(data: dict) -> "RunReport":
-        """Report from `to_dict` output, or from a CSV row with its cells decoded."""
-        return RunReport(
-            config=config_from_dict(data["config"]),
-            trials=int(data["trials"]),
-            detection_rate=float(data["detection_rate"]),
-            ci_low=float(data["ci_low"]),
-            ci_high=float(data["ci_high"]),
-            secret_recovery_rate=(
-                None
-                if data["secret_recovery_rate"] is None
-                else float(data["secret_recovery_rate"])
-            ),
-            per_decoy_error_rate=float(data["per_decoy_error_rate"]),
-            exact_detection=(
-                None if data["exact_detection"] is None else float(data["exact_detection"])
-            ),
-        )
+        """Report from `to_dict` output, or from a CSV row with its cells decoded.
+
+        A None in a column that is not nullable raises TypeError.
+        """
+        values = {"config": config_from_dict(data["config"]), "trials": int(data["trials"])}
+        for column in REPORT_COLUMNS[2:]:
+            cell = data[column]
+            values[column] = None if cell is None and column in _NULLABLE_COLUMNS else float(cell)
+        return RunReport(**values)
+
+
+REPORT_COLUMNS = tuple(field.name for field in dataclasses.fields(RunReport))
 
 
 def trial_generator(seed: int, trial: int) -> np.random.Generator:

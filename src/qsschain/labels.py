@@ -4,8 +4,9 @@ Every state a run touches is a stabilizer state: Bell pairs under Pauli
 encodings, Z/X eigenstate decoys, and the product states that single-qubit
 Z/X measurements leave behind. Each has an exact finite description
 (Gottesman-Knill; Aaronson & Gottesman, "Improved simulation of stabilizer
-circuits", quant-ph/0406196, cut down to two-qubit registers). Keys, bases,
-outcomes and the codes below are those stated in `qcore`:
+circuits", quant-ph/0406196, cut down to two-qubit registers). The module
+is a leaf that imports nothing from the package; its keys, bases, outcomes
+and the codes below are those stated in `qcore`:
 
 * a single qubit in a Z/X eigenstate is coded ``2 * basis + value``
   (basis 0 = Z, 1 = X), 0..3;
@@ -36,11 +37,7 @@ threshold a run meets); certain outcomes agree at every draw.
 
 from __future__ import annotations
 
-from .qcore import Basis, PauliKey
-
 Z, X = 0, 1
-BASES = (Basis.Z, Basis.X)
-KEYS = tuple(PauliKey(u, v) for u in (0, 1) for v in (0, 1))  # indexed by 2u + v
 
 
 def product(retained: int, traveling: int) -> int:
@@ -121,7 +118,7 @@ def decoys_intact(plan: list[int], arrived: list[int]) -> bool:
 
 
 def bell_quarters(pair: int) -> tuple[int, int, int, int]:
-    """Bell-measurement outcome probabilities, in quarters, in BELL_LABELS order."""
+    """Bell-measurement outcome probabilities, in quarters, in Bell code order."""
     if pair < 4:
         return tuple(4 if label == pair else 0 for label in range(4))
     retained, traveling = divmod(pair - 4, 4)

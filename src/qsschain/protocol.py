@@ -35,32 +35,62 @@ fixed generator state gives the same transcript on either. Each hop plans
 its decoys with `insert_decoys`; the steps `verify_decoys`, `encode_key`,
 `improved_check` and the attack steps `read_probes` and `intercept_resend`
 take the algebra. `adversary` describes both attacks.
+
+The run works on integer codes throughout. Its `Transcript` holds typed
+views (`BELL_LABELS`, `KEYS`, `BASES`, each indexed by code) only of the
+fields compared outside the run: `prepared`, `participant_keys`, each
+improved-check entry's `basis`, and `recovered_composites`.
 """
 
 from __future__ import annotations
 
+import enum
 import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from . import adversary, labels, qcore
 from .config import ScenarioConfig
-from .qcore import BELL_LABELS, Basis, BellLabel, PauliKey
 
 RETAINED_QUBIT = 0
 TRAVELING_QUBIT = 1
-_PROBE = 2 * adversary.PROBE_LABEL.x + adversary.PROBE_LABEL.y  # pair code of the probe label
+
+
+class BellLabel(NamedTuple):
+    """Bell-state label: parity bit x, phase bit y, each 0 or 1."""
+
+    x: int
+    y: int
+
+
+class PauliKey(NamedTuple):
+    """Pauli encoding key: bit-flip exponent u, phase-flip exponent v."""
+
+    u: int
+    v: int
+
+
+class Basis(enum.Enum):
+    """Single-qubit measurement basis."""
+
+    Z = "Z"
+    X = "X"
+
+
+# the typed views of the codes stated in `qcore`, each indexed by code
+BELL_LABELS = tuple(BellLabel(x, y) for x in (0, 1) for y in (0, 1))
+KEYS = tuple(PauliKey(u, v) for u in (0, 1) for v in (0, 1))
+BASES = (Basis.Z, Basis.X)
 
 
 @dataclass
 class ParticipantKey:
-    """Private encoding keys of participant `owner` (1-based), one per pair position."""
+    """One participant's private encoding keys, one per pair position."""
 
-    owner: int
     keys: list[PauliKey]
 
 
@@ -97,6 +127,7 @@ class ImprovedCheckRecord:
 class Transcript:
     """Full record of one distribution run.
 
+    `readout` holds the Bell codes read at the payload positions.
     `recovered_composites` holds the colluders' probe readout, one middle-key
     XOR per pair position, under attack=collusion, and is None otherwise.
     """
@@ -107,7 +138,7 @@ class Transcript:
     decoy_checks: list[DecoyCheckResult]
     improved_check: Optional[ImprovedCheckRecord]
     payload_positions: list[int]
-    readout: list[BellLabel]
+    readout: list[int]
     extracted_secret: list[int]
     attacker_secret: Optional[list[int]]
     recovered_composites: Optional[list[PauliKey]]
@@ -182,21 +213,21 @@ def intercept_resend(
 
 def key_total(keys: Sequence[ParticipantKey], position: int) -> PauliKey:
     """XOR of the participants' keys at one pair position (1-based)."""
-    total = PauliKey(0, 0)
+    total = 0
     for participant in keys:
-        total = total ^ participant.keys[position - 1]
-    return total
+        key = participant.keys[position - 1]
+        total ^= 2 * key.u + key.v
+    return KEYS[total]
 
 
-def extract_secret(
-    prepared: Sequence[BellLabel], readout: Sequence[BellLabel]
-) -> list[int]:
-    """Secret bits from prepared vs readout labels: (x^x', y^y') per pair."""
-    bits = []
-    for before, after in zip(prepared, readout, strict=True):
-        bits.append(before.x ^ after.x)
-        bits.append(before.y ^ after.y)
-    return bits
+def secret_bits(totals: Iterable[int]) -> list[int]:
+    """The secret bits (U, V) of each key-total code 2U + V, in order."""
+    return [bit for total in totals for bit in (total >> 1, total & 1)]
+
+
+def extract_secret(prepared: Sequence[int], readout: Sequence[int]) -> list[int]:
+    """Secret bits from prepared vs readout Bell codes: (x^x', y^y') per pair."""
+    return secret_bits(before ^ after for before, after in zip(prepared, readout, strict=True))
 
 
 def deduce_parity(prepared: int, total: int, basis: int) -> int:
@@ -257,18 +288,18 @@ def improved_check(
         for own in keys:
             total ^= own[idx]
         passed &= (x_outcome ^ y_outcome) == deduce_parity(prepared[idx], total, basis)
-        entries.append(ImprovedCheckEntry(idx + 1, labels.BASES[basis], x_outcome, y_outcome))
+        entries.append(ImprovedCheckEntry(idx + 1, BASES[basis], x_outcome, y_outcome))
     return ImprovedCheckRecord(entries, passed)
 
 
-def read_probes(alg, probes: Sequence, rng: np.random.Generator) -> list[PauliKey]:
-    """Bell-measure every collusion probe pair and return the recovered composites.
+def read_probes(alg, probes: Sequence, rng: np.random.Generator) -> list[int]:
+    """Bell-measure every collusion probe pair and return the recovered composite key codes.
 
     The last colluder does this once the probe halves have passed every
     middle participant, so each probe carries the XOR of all middle keys;
     `adversary.recover_composite` turns each outcome into that composite.
     """
-    composite = [adversary.recover_composite(label) for label in BELL_LABELS]  # by outcome code
+    composite = [adversary.recover_composite(code) for code in range(4)]  # by outcome code
     draws = rng.random(len(probes)).tolist()
     return [composite[alg.bell_outcome(probe, u)] for probe, u in zip(probes, draws)]
 
@@ -278,12 +309,7 @@ def _run(alg, config: ScenarioConfig, rng: np.random.Generator) -> Transcript:
     config.validate()
     n, m, d = config.n, config.m, config.d
     codes = _bit_pairs(rng, m)
-    prepared = [BELL_LABELS[code] for code in codes]
     key_codes = [_bit_pairs(rng, m) for _ in range(n)]
-    keys = [
-        ParticipantKey(owner, [labels.KEYS[c] for c in own])
-        for owner, own in enumerate(key_codes, 1)
-    ]
     collusion = config.attack == "collusion"
     eve_hop = n if config.attack == "intercept_resend" else None
     decoy_checks: list[DecoyCheckResult] = []
@@ -299,18 +325,18 @@ def _run(alg, config: ScenarioConfig, rng: np.random.Generator) -> Transcript:
 
     pairs = alg.bell_pairs(codes)
     ship(0, pairs)
-    composites: list[PauliKey] = []
+    composites: list[int] = []
     applied: list[int] = []  # the key codes the last colluder applies to the genuine particles
     for k in range(1, n + 1):
         if collusion and k == 1:
             # the first colluder encodes the genuine particles and relays them
             # privately; the chain carries the probe halves instead
             pairs = encode_key(alg, pairs, key_codes[0])
-            probes = alg.bell_pairs([_PROBE] * m)
+            probes = alg.bell_pairs([adversary.PROBE] * m)
             ship(1, probes)
         elif collusion and k == n:
             composites = read_probes(alg, probes, rng)
-            applied = [own ^ (2 * u + v) for own, (u, v) in zip(key_codes[n - 1], composites)]
+            applied = [own ^ composite for own, composite in zip(key_codes[n - 1], composites)]
             pairs = encode_key(alg, pairs, applied)
             ship(n, pairs)
         elif collusion:
@@ -328,33 +354,26 @@ def _run(alg, config: ScenarioConfig, rng: np.random.Generator) -> Transcript:
 
     payload_positions = [p for p in range(1, m + 1) if p not in sampled]
     draws = rng.random(len(payload_positions)).tolist()
-    readout = [
-        BELL_LABELS[alg.bell_outcome(pairs[p - 1], u)] for p, u in zip(payload_positions, draws)
-    ]
-    prepared_payload = [prepared[p - 1] for p in payload_positions]
+    readout = [alg.bell_outcome(pairs[p - 1], u) for p, u in zip(payload_positions, draws)]
 
     attacker_bits = None
-    if collusion:
-        # the pairs carry the first colluder's key and then `applied`
-        attacker_bits = []
-        for p in payload_positions:
-            total = key_codes[0][p - 1] ^ applied[p - 1]
-            attacker_bits.extend((total >> 1, total & 1))
+    if collusion:  # the pairs carry the first colluder's key and then `applied`
+        attacker_bits = secret_bits(key_codes[0][p - 1] ^ applied[p - 1] for p in payload_positions)
 
     detected = any(c.error_count for c in decoy_checks) or (
         improved is not None and not improved.passed
     )
     return Transcript(
         config=config,
-        prepared=prepared,
-        participant_keys=keys,
+        prepared=[BELL_LABELS[code] for code in codes],
+        participant_keys=[ParticipantKey([KEYS[c] for c in own]) for own in key_codes],
         decoy_checks=decoy_checks,
         improved_check=improved,
         payload_positions=payload_positions,
         readout=readout,
-        extracted_secret=extract_secret(prepared_payload, readout),
+        extracted_secret=extract_secret([codes[p - 1] for p in payload_positions], readout),
         attacker_secret=attacker_bits,
-        recovered_composites=composites if collusion else None,
+        recovered_composites=[KEYS[c] for c in composites] if collusion else None,
         detected=detected,
     )
 

@@ -15,7 +15,7 @@ Conventions, fixed once here and relied on everywhere else:
   the retained qubit 0 and the traveling qubit 1.
 * Bell labels are bit pairs (x, y): x is the parity bit (0 for the 00/11
   branch, 1 for 01/10), y is the phase bit (0 for +, 1 for -). The label
-  (x, y) is coded 2x + y, its index into BELL_LABELS.
+  (x, y) is coded 2x + y.
 
       |Psi_00> = (|00> + |11>)/sqrt(2)
       |Psi_01> = (|00> - |11>)/sqrt(2)
@@ -26,8 +26,8 @@ Conventions, fixed once here and relied on everywhere else:
   applied first, coded 2u + v. Acting on the traveling qubit of
   |Psi_{x,y}> this shifts the label to (x^u, y^v) up to a global phase, so
   the key code XORs onto the label code.
-* Bases are coded 0 for Z and 1 for X (the index into `labels.BASES`), and
-  the eigenstate of basis b with outcome bit v is coded 2b + v.
+* Bases are coded 0 for Z and 1 for X, and the eigenstate of basis b with
+  outcome bit v is coded 2b + v.
 * Measurement outcomes are bits: |0>/|1> map to 0/1 in the Z basis and
   |+>/|-> map to 0/1 in the X basis.
 
@@ -39,39 +39,13 @@ immutable: operations return new instances.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
 NORM_TOL = 1e-9
-
-
-class BellLabel(NamedTuple):
-    """Bell-state label: parity bit x, phase bit y, each 0 or 1."""
-
-    x: int
-    y: int
-
-
-class PauliKey(NamedTuple):
-    """Pauli encoding key: bit-flip exponent u, phase-flip exponent v."""
-
-    u: int
-    v: int
-
-    def __xor__(self, other: "PauliKey") -> "PauliKey":  # type: ignore[override]
-        return PauliKey(self.u ^ other.u, self.v ^ other.v)
-
-
-class Basis(enum.Enum):
-    """Single-qubit measurement basis."""
-
-    Z = "Z"
-    X = "X"
-
 
 _SQRT_HALF = 1 / np.sqrt(2)
 
@@ -94,9 +68,6 @@ _BELL_VECTORS = np.array(
     dtype=complex,
 )
 _BELL_BASIS_CONJ = _BELL_VECTORS.conj()  # rows project a pair onto the Bell states
-
-# Bell labels in code order, the fixed outcome ordering for Bell-basis sampling
-BELL_LABELS = (BellLabel(0, 0), BellLabel(0, 1), BellLabel(1, 0), BellLabel(1, 1))
 
 
 @dataclass(frozen=True)

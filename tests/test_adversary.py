@@ -11,11 +11,10 @@ import numpy as np
 import pytest
 
 from qsschain import adversary, checks, cli, harness, protocol, qcore
+from qsschain.adversary import PROBE
 from qsschain.config import ScenarioConfig
-from qsschain.qcore import BellLabel, PauliKey
+from qsschain.protocol import PauliKey
 
-ALL_KEYS = [PauliKey(u, v) for u in (0, 1) for v in (0, 1)]
-PROBE = qcore.BELL_LABELS.index(adversary.PROBE_LABEL)
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
@@ -29,7 +28,7 @@ SRC = Path(__file__).resolve().parents[1] / "src"
         pytest.param(
             "import qsschain.labels",
             "qsschain.labels",
-            ["qsschain.protocol", "qsschain.adversary", "qsschain.config"],
+            ["qsschain.protocol", "qsschain.adversary", "qsschain.config", "qsschain.qcore"],
             id="labels",
         ),
         pytest.param(
@@ -74,7 +73,7 @@ class TestBrokenCollusionRule:
 
     @pytest.fixture(autouse=True)
     def wrong_rule(self, monkeypatch):
-        monkeypatch.setattr(adversary, "recover_composite", lambda measured: PauliKey(0, 0))
+        monkeypatch.setattr(adversary, "recover_composite", lambda measured: 0)
 
     def test_exact_detection_raises(self):
         with pytest.raises(RuntimeError, match="^collusion exactness proof failed: composite"):
@@ -109,30 +108,36 @@ class TestBrokenCollusionRule:
 
 
 class TestCollusionPieces:
-    def test_recover_composite_frozen_table(self):
-        assert adversary.recover_composite(BellLabel(1, 1)) == PauliKey(0, 0)
-        assert adversary.recover_composite(BellLabel(1, 0)) == PauliKey(0, 1)
-        assert adversary.recover_composite(BellLabel(0, 1)) == PauliKey(1, 0)
-        assert adversary.recover_composite(BellLabel(0, 0)) == PauliKey(1, 1)
+    def test_probe_is_psi_11(self):
+        """The probe pair is |Psi_11> = (|01> - |10>)/sqrt(2)."""
+        expected = np.array([0, 1, -1, 0]) / math.sqrt(2)
+        np.testing.assert_allclose(qcore.bell_state(PROBE).amplitudes, expected, atol=1e-12)
 
-    @pytest.mark.parametrize("composite", ALL_KEYS)
+    def test_recover_composite_frozen_table(self):
+        """Bell outcome code 2x + y to composite key code 2u + v."""
+        assert adversary.recover_composite(3) == 0  # |Psi_11> -> key (0,0)
+        assert adversary.recover_composite(2) == 1  # |Psi_10> -> key (0,1)
+        assert adversary.recover_composite(1) == 2  # |Psi_01> -> key (1,0)
+        assert adversary.recover_composite(0) == 3  # |Psi_00> -> key (1,1)
+
+    @pytest.mark.parametrize("composite", range(4))
     def test_recover_composite_against_state_vectors(self, composite):
         """Encode a known composite on a probe half, Bell-measure, recover."""
-        probe = qcore.pauli(qcore.bell_state(PROBE), 2 * composite.u + composite.v)
+        probe = qcore.pauli(qcore.bell_state(PROBE), composite)
         probs = qcore.bell_probabilities(probe)
         outcome = max(range(4), key=probs.__getitem__)
         assert probs[outcome] == pytest.approx(1.0, abs=1e-9)
-        assert adversary.recover_composite(qcore.BELL_LABELS[outcome]) == composite
+        assert adversary.recover_composite(outcome) == composite
 
     def test_untouched_probes_read_zero_composite(self):
         probes = qcore.bell_pairs([PROBE] * 4)
         composites = protocol.read_probes(qcore, probes, np.random.default_rng(3))
-        assert composites == [PauliKey(0, 0)] * 4
+        assert composites == [0] * 4
 
     def test_probe_halves_accumulate_middle_keys(self):
-        middle = [PauliKey(1, 0), PauliKey(0, 1), PauliKey(1, 1)]
+        middle = [2, 1, 3]  # key codes of (1,0), (0,1), (1,1)
         probes = qcore.bell_pairs([PROBE] * 3)
-        probes = protocol.encode_key(qcore, probes, [2 * u + v for u, v in middle])
+        probes = protocol.encode_key(qcore, probes, middle)
         assert protocol.read_probes(qcore, probes, np.random.default_rng(2)) == middle
 
 

@@ -1,6 +1,7 @@
 """Command-line tests, run in-process through main(argv)."""
 
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -39,6 +40,13 @@ class TestRun:
         )
         assert code == 0
         assert quoted == [capsys.readouterr().out.rstrip("\n")]
+
+    def test_readme_report_table_names_the_columns(self):
+        """The README "Reports" table lists exactly the report columns, in order."""
+        section = README.read_text(encoding="utf-8").split("## Reports\n", 1)[1].split("\n## ")[0]
+        rows = [line for line in section.splitlines() if line.startswith("| `")]
+        named = [name for row in rows for name in re.findall(r"`(\w+)`", row.split("|")[1])]
+        assert tuple(named) == harness.REPORT_COLUMNS
 
     def test_honest_summary_has_no_recovery_field(self, capsys):
         code = run_cli("run", "--n", "2", "--m", "2", "--d", "1", "--trials", "5", "--seed", "0")

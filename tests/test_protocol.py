@@ -8,11 +8,12 @@ import pytest
 
 from qsschain import labels, protocol, qcore
 from qsschain.config import ATTACK_KINDS, ConfigError, ScenarioConfig
-from qsschain.protocol import ParticipantKey, TRAVELING_QUBIT
-from qsschain.qcore import BELL_LABELS, Basis, BellLabel, PauliKey
+from qsschain.protocol import (
+    BASES, BELL_LABELS, KEYS, TRAVELING_QUBIT, Basis, BellLabel, ParticipantKey, PauliKey
+)
 
-ALL_LABELS = [BellLabel(x, y) for x in (0, 1) for y in (0, 1)]
-ALL_KEYS = [PauliKey(u, v) for u in (0, 1) for v in (0, 1)]
+ALL_LABELS = list(BELL_LABELS)
+ALL_KEYS = list(KEYS)
 ALGEBRAS = [pytest.param(labels, id="labels"), pytest.param(qcore, id="dense")]
 
 
@@ -22,7 +23,7 @@ def key_codes(keys):
 
 def eigen(basis, value):
     """The eigenstate of `basis` with outcome `value`, by its qubit code."""
-    return qcore.eigenstate(2 * labels.BASES.index(basis) + value)
+    return qcore.eigenstate(2 * BASES.index(basis) + value)
 
 
 class TestPrepare:
@@ -66,7 +67,7 @@ class TestDecoyPlanning:
             basis, value = code >> 1, code & 1
             probs = qcore.measurement_probabilities(decoy, 0, basis)
             assert probs[value] == pytest.approx(1.0, abs=1e-12)
-            seen.add((labels.BASES[basis], value))
+            seen.add((BASES[basis], value))
         assert seen == {(b, v) for b in (Basis.Z, Basis.X) for v in (0, 1)}
 
     def test_seed_reproduces_plan(self):
@@ -137,8 +138,8 @@ class TestKeyTotal:
 
     def test_positions_are_one_based(self):
         keys = [
-            ParticipantKey(1, [PauliKey(1, 0), PauliKey(0, 0), PauliKey(1, 1)]),
-            ParticipantKey(2, [PauliKey(1, 1), PauliKey(0, 1), PauliKey(1, 1)]),
+            ParticipantKey([PauliKey(1, 0), PauliKey(0, 0), PauliKey(1, 1)]),
+            ParticipantKey([PauliKey(1, 1), PauliKey(0, 1), PauliKey(1, 1)]),
         ]
         totals = [protocol.key_total(keys, position) for position in (1, 2, 3)]
         assert totals == [PauliKey(0, 1), PauliKey(0, 1), PauliKey(0, 0)]
@@ -146,9 +147,9 @@ class TestKeyTotal:
     def test_participant_order_does_not_matter(self):
         rng = np.random.default_rng(18)
         keys = []
-        for owner in range(1, 5):
+        for _ in range(4):
             bits = rng.integers(0, 2, size=(6, 2))
-            keys.append(ParticipantKey(owner, [PauliKey(int(u), int(v)) for u, v in bits]))
+            keys.append(ParticipantKey([PauliKey(int(u), int(v)) for u, v in bits]))
         for position in range(1, 7):
             assert protocol.key_total(keys, position) == protocol.key_total(
                 keys[::-1], position
@@ -157,10 +158,9 @@ class TestKeyTotal:
 
 class TestExtractSecret:
     def test_frozen_examples(self):
-        assert protocol.extract_secret([BellLabel(1, 0)], [BellLabel(0, 0)]) == [1, 0]
-        assert protocol.extract_secret(
-            [BellLabel(0, 1), BellLabel(1, 1)], [BellLabel(0, 1), BellLabel(0, 0)]
-        ) == [0, 0, 1, 1]
+        """Bell codes 2x + y: |Psi_10> read as |Psi_00> gives the bits (1, 0)."""
+        assert protocol.extract_secret([2], [0]) == [1, 0]
+        assert protocol.extract_secret([1, 3], [1, 0]) == [0, 0, 1, 1]
 
     def test_matches_three_key_xor(self):
         rng = np.random.default_rng(12)
@@ -169,15 +169,14 @@ class TestExtractSecret:
             keys = [
                 PauliKey(int(rng.integers(2)), int(rng.integers(2))) for _ in range(3)
             ]
-            total = protocol.key_total(
-                [ParticipantKey(owner, [key]) for owner, key in enumerate(keys, 1)], 1
-            )
-            readout = BellLabel(prepared.x ^ total.u, prepared.y ^ total.v)
-            assert protocol.extract_secret([prepared], [readout]) == [total.u, total.v]
+            total = protocol.key_total([ParticipantKey([key]) for key in keys], 1)
+            code = 2 * prepared.x + prepared.y
+            readout = code ^ (2 * total.u + total.v)
+            assert protocol.extract_secret([code], [readout]) == [total.u, total.v]
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
-            protocol.extract_secret([BellLabel(0, 0)], [])
+            protocol.extract_secret([0], [])
 
 
 class TestDeduceParity:
@@ -198,7 +197,7 @@ class TestDeduceParity:
             projector = np.kron(eigen(basis, a).amplitudes, eigen(basis, b).amplitudes)
             parity_prob[a ^ b] += abs(np.vdot(projector, state.amplitudes)) ** 2
         rule = protocol.deduce_parity(
-            2 * label.x + label.y, 2 * total.u + total.v, labels.BASES.index(basis)
+            2 * label.x + label.y, 2 * total.u + total.v, BASES.index(basis)
         )
         assert parity_prob[rule] == pytest.approx(1.0, abs=1e-9)
 
@@ -208,7 +207,7 @@ def recomputed_match(entry, prepared, keys):
     total = 0
     for own in keys:
         total ^= own[entry.position - 1]
-    basis = labels.BASES.index(entry.basis)
+    basis = BASES.index(entry.basis)
     parity = protocol.deduce_parity(prepared[entry.position - 1], total, basis)
     return entry.x_outcome ^ entry.y_outcome == parity
 
@@ -318,6 +317,10 @@ class TestRunDistribution:
         assert transcript.payload_positions == list(range(1, 9))
         assert len(transcript.extracted_secret) == 16
         assert transcript.attacker_secret is None
+        for position, code in zip(transcript.payload_positions, transcript.readout, strict=True):
+            label = transcript.prepared[position - 1]
+            total = protocol.key_total(transcript.participant_keys, position)
+            assert code == (2 * label.x + label.y) ^ (2 * total.u + total.v)  # Bell codes
 
     def test_detection_is_a_recomputed_parity_mismatch(self):
         """With no decoys, an intercept-resend run is detected iff a sampled parity mismatches.

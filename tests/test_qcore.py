@@ -11,12 +11,14 @@ import numpy as np
 import pytest
 
 from qsschain import labels, qcore
-from qsschain.qcore import Basis, BellLabel, PauliKey, PureState
+from qsschain.labels import X as X_BASIS, Z as Z_BASIS
+from qsschain.qcore import PureState
 
 SQ2 = 1 / math.sqrt(2)
 
-ALL_LABELS = [BellLabel(x, y) for x in (0, 1) for y in (0, 1)]
-ALL_KEYS = [PauliKey(u, v) for u in (0, 1) for v in (0, 1)]
+# Bell labels (x, y) and Pauli keys (u, v) as bit pairs; qcore takes their codes 2a + b
+ALL_LABELS = [(x, y) for x in (0, 1) for y in (0, 1)]
+ALL_KEYS = [(u, v) for u in (0, 1) for v in (0, 1)]
 
 # independent oracle pieces: explicit matrices, qubit 0 = most significant bit
 I2 = np.eye(2, dtype=complex)
@@ -25,10 +27,11 @@ Z = np.array([[1, 0], [0, -1]], dtype=complex)
 
 
 def oracle_pauli(key):
+    u, v = key
     mat = np.eye(2, dtype=complex)
-    if key.v:
+    if v:
         mat = Z @ mat
-    if key.u:
+    if u:
         mat = X @ mat
     return mat
 
@@ -46,13 +49,9 @@ def bell(label):
     return qcore.bell_state(code(label))
 
 
-def basis_code(basis):
-    return labels.BASES.index(basis)
-
-
 def eigen(basis, value):
-    """The eigenstate of `basis` with outcome `value`, by its qubit code."""
-    return qcore.eigenstate(2 * basis_code(basis) + value)
+    """The eigenstate of basis code `basis` with outcome `value`, by its qubit code."""
+    return qcore.eigenstate(2 * basis + value)
 
 
 class TestBellStates:
@@ -102,22 +101,22 @@ class TestPauliEncoding:
     """U_{u,v} = X^u Z^v with Z applied first."""
 
     def test_identity_key_leaves_state(self):
-        state = bell(BellLabel(1, 0))
-        out = qcore.pauli(state, code(PauliKey(0, 0)))
+        state = bell((1, 0))
+        out = qcore.pauli(state, code((0, 0)))
         np.testing.assert_allclose(out.amplitudes, state.amplitudes)
 
     def test_phase_flip_on_plus(self):
         """Z flips a traveling |+> to |->; the retained |0> is untouched."""
-        zero = eigen(Basis.Z, 0).amplitudes
-        zero_plus = PureState(2, np.kron(zero, eigen(Basis.X, 0).amplitudes))
-        out = qcore.pauli(zero_plus, code(PauliKey(0, 1)))
-        np.testing.assert_allclose(out.amplitudes, np.kron(zero, eigen(Basis.X, 1).amplitudes))
+        zero = eigen(Z_BASIS, 0).amplitudes
+        zero_plus = PureState(2, np.kron(zero, eigen(X_BASIS, 0).amplitudes))
+        out = qcore.pauli(zero_plus, code((0, 1)))
+        np.testing.assert_allclose(out.amplitudes, np.kron(zero, eigen(X_BASIS, 1).amplitudes))
 
     def test_key_11_on_traveling_qubit_of_psi00(self):
         """Frozen case: (1,1) on the second qubit maps Psi_00 to Psi_11."""
-        out = qcore.pauli(bell(BellLabel(0, 0)), code(PauliKey(1, 1)))
-        assert qcore.equal_up_to_phase(out, bell(BellLabel(1, 1)))
-        oracle = oracle_on_second(PauliKey(1, 1)) @ bell(BellLabel(0, 0)).amplitudes
+        out = qcore.pauli(bell((0, 0)), code((1, 1)))
+        assert qcore.equal_up_to_phase(out, bell((1, 1)))
+        oracle = oracle_on_second((1, 1)) @ bell((0, 0)).amplitudes
         assert abs(np.vdot(oracle, out.amplitudes)) == pytest.approx(1.0, abs=1e-9)
 
     @pytest.mark.parametrize("label", ALL_LABELS)
@@ -139,20 +138,20 @@ class TestPauliEncoding:
     def test_qubit_out_of_range(self):
         """A lone qubit has no traveling qubit 1 to encode."""
         with pytest.raises(ValueError, match="out of range"):
-            qcore.pauli(eigen(Basis.X, 0), code(PauliKey(0, 1)))
+            qcore.pauli(eigen(X_BASIS, 0), code((0, 1)))
 
     def test_invalid_key_bits(self):
         for bad in (4, -1):
             with pytest.raises(ValueError, match="key code"):
-                qcore.pauli(bell(BellLabel(0, 0)), bad)
+                qcore.pauli(bell((0, 0)), bad)
 
 
 class TestLabelShift:
     """The label engine's Pauli rule on Bell codes is the XOR rule of the state engine."""
 
     def test_frozen_examples(self):
-        assert labels.pauli(code(BellLabel(0, 0)), code(PauliKey(1, 0))) == code(BellLabel(1, 0))
-        assert labels.pauli(code(BellLabel(1, 0)), code(PauliKey(1, 1))) == code(BellLabel(0, 1))
+        assert labels.pauli(code((0, 0)), code((1, 0))) == code((1, 0))
+        assert labels.pauli(code((1, 0)), code((1, 1))) == code((0, 1))
 
     @pytest.mark.parametrize("label", ALL_LABELS)
     @pytest.mark.parametrize("key", ALL_KEYS)
@@ -165,7 +164,7 @@ class TestLabelShift:
     @pytest.mark.parametrize("key2", ALL_KEYS)
     def test_composition_law(self, key1, key2):
         """Two encodings compose to the XOR key on every Bell input, up to phase."""
-        combined = key1 ^ key2
+        combined = (key1[0] ^ key2[0], key1[1] ^ key2[1])
         for label in ALL_LABELS:
             sequential = qcore.pauli(qcore.pauli(bell(label), code(key1)), code(key2))
             direct = qcore.pauli(bell(label), code(combined))
@@ -177,22 +176,22 @@ class TestLabelShift:
 
 class TestMeasurement:
     def test_z_eigenstate_is_certain(self):
-        state = eigen(Basis.Z, 0)
+        state = eigen(Z_BASIS, 0)
         for seed in range(10):
             u = np.random.default_rng(seed).random()
-            outcome, post = qcore.collapse_qubit(state, basis_code(Basis.Z), u)
+            outcome, post = qcore.collapse_qubit(state, Z_BASIS, u)
             assert outcome == 0
             np.testing.assert_allclose(post.amplitudes, state.amplitudes)
 
     def test_plus_in_z_is_unbiased(self):
-        state = eigen(Basis.X, 0)
-        probs = qcore.measurement_probabilities(state, 0, basis_code(Basis.Z))
+        state = eigen(X_BASIS, 0)
+        probs = qcore.measurement_probabilities(state, 0, Z_BASIS)
         assert probs[0] == pytest.approx(0.5, abs=1e-12)
         counts = 0
         trials = 4000
         rng = np.random.default_rng(7)
         for _ in range(trials):
-            outcome, _ = qcore.collapse_qubit(state, basis_code(Basis.Z), rng.random())
+            outcome, _ = qcore.collapse_qubit(state, Z_BASIS, rng.random())
             counts += outcome
         se = math.sqrt(0.25 / trials)
         assert abs(counts / trials - 0.5) < 3 * se
@@ -202,41 +201,41 @@ class TestMeasurement:
         seen = set()
         for seed in range(20):
             u = np.random.default_rng(seed).random()
-            outcome, post = qcore.collapse(bell(BellLabel(0, 0)), 0, basis_code(Basis.Z), u)
+            outcome, post = qcore.collapse(bell((0, 0)), 0, Z_BASIS, u)
             seen.add(outcome)
             expected = np.zeros(4, dtype=complex)
             expected[outcome * 3] = 1.0  # |00> at index 0, |11> at index 3
             np.testing.assert_allclose(post.amplitudes, expected, atol=1e-12)
         assert seen == {0, 1}
 
-    @pytest.mark.parametrize("basis", [Basis.Z, Basis.X])
+    @pytest.mark.parametrize("basis", [Z_BASIS, X_BASIS])
     @pytest.mark.parametrize("label", ALL_LABELS)
     @pytest.mark.parametrize("qubit", [0, 1])
     def test_probabilities_sum_to_one(self, basis, label, qubit):
-        probs = qcore.measurement_probabilities(bell(label), qubit, basis_code(basis))
+        probs = qcore.measurement_probabilities(bell(label), qubit, basis)
         assert sum(probs) == pytest.approx(1.0, abs=1e-9)
 
     def test_repeated_measurement_is_stable(self):
         rng = np.random.default_rng(3)
-        state = bell(BellLabel(1, 0))
-        outcome, post = qcore.collapse(state, 1, basis_code(Basis.X), rng.random())
-        again, post2 = qcore.collapse(post, 1, basis_code(Basis.X), rng.random())
+        state = bell((1, 0))
+        outcome, post = qcore.collapse(state, 1, X_BASIS, rng.random())
+        again, post2 = qcore.collapse(post, 1, X_BASIS, rng.random())
         assert again == outcome
         np.testing.assert_allclose(post2.amplitudes, post.amplitudes, atol=1e-12)
 
     def test_collapse_preserves_norm(self):
         rng = np.random.default_rng(11)
         for label in ALL_LABELS:
-            _, post = qcore.collapse(bell(label), 0, basis_code(Basis.X), rng.random())
+            _, post = qcore.collapse(bell(label), 0, X_BASIS, rng.random())
             norm = np.vdot(post.amplitudes, post.amplitudes).real
             assert norm == pytest.approx(1.0, abs=1e-9)
 
     def test_invalid_codes_rejected(self):
         for bad in (2, -1):
             with pytest.raises(ValueError, match="basis code"):
-                qcore.collapse(bell(BellLabel(0, 0)), 0, bad, 0.5)
+                qcore.collapse(bell((0, 0)), 0, bad, 0.5)
             with pytest.raises(ValueError, match="basis code"):
-                qcore.measurement_probabilities(bell(BellLabel(0, 0)), 0, bad)
+                qcore.measurement_probabilities(bell((0, 0)), 0, bad)
         for bad in (4, -1):
             with pytest.raises(ValueError, match="qubit code"):
                 qcore.eigenstate(bad)
@@ -254,10 +253,10 @@ class TestBellMeasure:
     def test_product_00_frozen_probabilities(self):
         """|00> overlaps only the two parity-0 Bell states, each with 1/2."""
         probs = qcore.bell_probabilities(PureState(2, np.array([1, 0, 0, 0])))
-        assert probs[code(BellLabel(0, 0))] == pytest.approx(0.5, abs=1e-12)
-        assert probs[code(BellLabel(0, 1))] == pytest.approx(0.5, abs=1e-12)
-        assert probs[code(BellLabel(1, 0))] == pytest.approx(0.0, abs=1e-12)
-        assert probs[code(BellLabel(1, 1))] == pytest.approx(0.0, abs=1e-12)
+        assert probs[code((0, 0))] == pytest.approx(0.5, abs=1e-12)
+        assert probs[code((0, 1))] == pytest.approx(0.5, abs=1e-12)
+        assert probs[code((1, 0))] == pytest.approx(0.0, abs=1e-12)
+        assert probs[code((1, 1))] == pytest.approx(0.0, abs=1e-12)
         # kron oracle: amplitudes of |00> against explicit Bell vectors
         v00 = np.array([1, 0, 0, 0], dtype=complex)
         for label in ALL_LABELS:
@@ -268,12 +267,12 @@ class TestBellMeasure:
         rng = np.random.default_rng(5)
         product_00 = PureState(2, np.array([1, 0, 0, 0]))
         outcomes = [qcore.bell_outcome(product_00, rng.random()) for _ in range(2000)]
-        assert set(outcomes) == {code(BellLabel(0, 0)), code(BellLabel(0, 1))}
-        frac = sum(1 for o in outcomes if o == code(BellLabel(0, 0))) / len(outcomes)
+        assert set(outcomes) == {code((0, 0)), code((0, 1))}
+        frac = sum(1 for o in outcomes if o == code((0, 0))) / len(outcomes)
         assert abs(frac - 0.5) < 3 * math.sqrt(0.25 / 2000)
 
     def test_single_qubit_register_rejected(self):
-        decoy = eigen(Basis.Z, 0)
+        decoy = eigen(Z_BASIS, 0)
         with pytest.raises(ValueError, match="needs a pair"):
             qcore.bell_outcome(decoy, 0.0)
         with pytest.raises(ValueError, match="needs a pair"):
@@ -294,26 +293,26 @@ class TestCertainOutcomesAtEdgeDraws:
         assert qcore.bell_outcome(bell(label), u) == code(label)
 
     @pytest.mark.parametrize("u", EDGE_DRAWS)
-    @pytest.mark.parametrize("basis", [Basis.Z, Basis.X])
+    @pytest.mark.parametrize("basis", [Z_BASIS, X_BASIS])
     @pytest.mark.parametrize("value", [0, 1])
     def test_eigenstate_in_its_own_basis(self, basis, value, u):
         state = eigen(basis, value)
-        outcome, post = qcore.collapse_qubit(state, basis_code(basis), u)
+        outcome, post = qcore.collapse_qubit(state, basis, u)
         assert outcome == value
         assert qcore.equal_up_to_phase(post, state)
 
 
 class TestEqualUpToPhase:
     def test_global_phase_ignored(self):
-        state = bell(BellLabel(0, 1))
+        state = bell((0, 1))
         flipped = PureState(2, -state.amplitudes)
         rotated = PureState(2, np.exp(1j * 0.7) * state.amplitudes)
         assert qcore.equal_up_to_phase(state, flipped)
         assert qcore.equal_up_to_phase(state, rotated)
 
     def test_orthogonal_states_differ(self):
-        assert not qcore.equal_up_to_phase(bell(BellLabel(0, 0)), bell(BellLabel(1, 1)))
+        assert not qcore.equal_up_to_phase(bell((0, 0)), bell((1, 1)))
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            qcore.equal_up_to_phase(eigen(Basis.Z, 0), bell(BellLabel(0, 0)))
+            qcore.equal_up_to_phase(eigen(Z_BASIS, 0), bell((0, 0)))
