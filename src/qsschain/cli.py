@@ -1,27 +1,25 @@
 """Command-line front end.
 
-    qsschain run    [--scenario FILE] [field overrides] [--out PATH] [--format json|csv]
+    qsschain run    [--scenario FILE] [field overrides] [--out PATH]
     qsschain sweep  --axis FIELD --values V1,V2,... --out PATH [overrides]
     qsschain verify
 
 Exit codes: 0 success, 1 runtime or verification failure, 2 configuration
 error (the message names the offending field). All commands are
 deterministic under a fixed seed; nothing time-dependent reaches stdout or
-the report files.
+the report files. `run` writes JSON and `sweep` CSV; the seed is `--seed`,
+else the scenario file's, else 0.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from typing import Optional
 
 from . import checks, harness
 from .config import ATTACK_KINDS, CHECK_KINDS, ConfigError, ScenarioConfig, config_from_dict
-
-SEED_ENV_VAR = "QSS_SEED"
 
 _SWEEP_AXES = ("n", "m", "d", "trials", "seed", "check_fraction")
 
@@ -38,7 +36,7 @@ def _add_scenario_arguments(parser: argparse.ArgumentParser) -> None:
         help="fraction of pairs sampled by the improved check",
     )
     parser.add_argument("--trials", type=int, help="Monte Carlo repetitions")
-    parser.add_argument("--seed", type=int, help="master seed (overrides file and environment)")
+    parser.add_argument("--seed", type=int, help="master seed (overrides the scenario file)")
     parser.add_argument(
         "--threads", type=int, default=1,
         help="an integer >= 1, accepted for compatibility; no effect: trials run in one thread",
@@ -49,7 +47,7 @@ def _load_scenario_file(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as handle:
             data = json.load(handle)
-    except OSError as err:
+    except (OSError, UnicodeDecodeError) as err:
         raise ConfigError("scenario", f"cannot read {path}: {err}") from err
     except json.JSONDecodeError as err:
         raise ConfigError("scenario", f"{path} is not valid JSON: {err}") from err
@@ -59,9 +57,8 @@ def _load_scenario_file(path: str) -> dict:
 
 
 def _resolve_config(args: argparse.Namespace) -> ScenarioConfig:
-    """Scenario from file plus flag overrides; seed falls back to $QSS_SEED."""
+    """Scenario from file plus flag overrides."""
     data = _load_scenario_file(args.scenario) if args.scenario else {}
-    seed_in_file = "seed" in data
     config = config_from_dict(data)
 
     overrides = {}
@@ -71,16 +68,6 @@ def _resolve_config(args: argparse.Namespace) -> ScenarioConfig:
             overrides[name] = value
     if overrides:
         config = config.replace(**overrides)
-
-    if args.seed is None and not seed_in_file:
-        env_seed = os.environ.get(SEED_ENV_VAR)
-        if env_seed is not None:
-            try:
-                config = config.replace(seed=int(env_seed))
-            except ValueError as err:
-                raise ConfigError(
-                    "seed", f"${SEED_ENV_VAR} must be an integer, got {env_seed!r}"
-                ) from err
     config.validate()
     if args.threads < 1:  # argparse has already refused a non-integer
         raise ConfigError("threads", f"must be an integer >= 1, got {args.threads}")
@@ -111,7 +98,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     config = _resolve_config(args)
     report = harness.run_trials(config)
     if args.out:
-        harness.write_report(report, args.out, args.format)
+        harness.write_report(report, args.out)
     print(_summary_line(report))
     return 0
 
@@ -173,10 +160,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     run_parser = commands.add_parser("run", help="run one scenario and report statistics")
     _add_scenario_arguments(run_parser)
-    run_parser.add_argument("--out", metavar="PATH", help="write the report here")
-    run_parser.add_argument(
-        "--format", choices=("json", "csv"), default="json", help="report format"
-    )
+    run_parser.add_argument("--out", metavar="PATH", help="write the JSON report here")
     run_parser.set_defaults(func=cmd_run)
 
     sweep_parser = commands.add_parser("sweep", help="vary one numeric field, write a CSV")

@@ -264,47 +264,32 @@ def _atomic_write(path: str | os.PathLike, text: str) -> None:
         raise ReportWriteError(f"cannot write report to {target}: {err}") from err
 
 
-def csv_text(reports: Sequence[RunReport]) -> str:
+def write_report(report: RunReport, path: str | os.PathLike) -> None:
+    """Serialize one report to `path` as JSON.
+
+    Writing is atomic: on failure no partial file is retained.
+    """
+    _atomic_write(path, json.dumps(report.to_dict(), indent=2) + "\n")
+
+
+def read_report(path: str | os.PathLike) -> RunReport:
+    """Read back a report written by `write_report`."""
+    with open(path, "r", encoding="utf-8") as handle:
+        return RunReport.from_dict(json.load(handle))
+
+
+def write_csv(reports: Sequence[RunReport], path: str | os.PathLike) -> None:
+    """Serialize a sequence of reports as CSV, one row per scenario, atomically."""
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(REPORT_COLUMNS)
     for report in reports:
         writer.writerow(_report_row(report))
-    return buffer.getvalue()
-
-
-def write_report(report: RunReport, path: str | os.PathLike, format: str = "json") -> None:
-    """Serialize one report to `path` as JSON or a one-row CSV.
-
-    Writing is atomic: on failure no partial file is retained.
-    """
-    if format == "json":
-        _atomic_write(path, json.dumps(report.to_dict(), indent=2) + "\n")
-    elif format == "csv":
-        _atomic_write(path, csv_text([report]))
-    else:
-        raise ValueError(f"unsupported report format: {format!r}")
-
-
-def read_report(path: str | os.PathLike, format: str = "json") -> RunReport:
-    """Read back a single report written by `write_report`."""
-    if format == "json":
-        with open(path, "r", encoding="utf-8") as handle:
-            return RunReport.from_dict(json.load(handle))
-    if format == "csv":
-        reports = read_csv(path)
-        if len(reports) != 1:
-            raise ValueError(f"expected one report row in {path}, found {len(reports)}")
-        return reports[0]
-    raise ValueError(f"unsupported report format: {format!r}")
-
-
-def write_csv(reports: Sequence[RunReport], path: str | os.PathLike) -> None:
-    """Serialize a sequence of reports as CSV, one row per scenario."""
-    _atomic_write(path, csv_text(reports))
+    _atomic_write(path, buffer.getvalue())
 
 
 def read_csv(path: str | os.PathLike) -> list[RunReport]:
+    """Read back the reports written by `write_csv`, in row order."""
     with open(path, "r", encoding="utf-8", newline="") as handle:
         reader = csv.DictReader(handle)
         reports = []

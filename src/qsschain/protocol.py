@@ -299,9 +299,10 @@ def read_probes(alg, probes: Sequence, rng: np.random.Generator) -> list[int]:
     middle participant, so each probe carries the XOR of all middle keys;
     `adversary.recover_composite` turns each outcome into that composite.
     """
-    composite = [adversary.recover_composite(code) for code in range(4)]  # by outcome code
     draws = rng.random(len(probes)).tolist()
-    return [composite[alg.bell_outcome(probe, u)] for probe, u in zip(probes, draws)]
+    return [
+        adversary.recover_composite(alg.bell_outcome(probe, u)) for probe, u in zip(probes, draws)
+    ]
 
 
 def _run(alg, config: ScenarioConfig, rng: np.random.Generator) -> Transcript:

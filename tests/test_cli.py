@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from qsschain import checks, cli, harness, labels, protocol
+from qsschain.config import ScenarioConfig
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -71,15 +72,25 @@ class TestRun:
         assert data["config"]["seed"] == 21
         assert "wall_time" not in first.read_text()
 
-    def test_csv_output_format(self, tmp_path):
-        out = tmp_path / "r.csv"
+    def test_one_row_csv_comes_from_a_seed_sweep(self, tmp_path):
+        """`sweep --axis seed --values S` writes the one-row CSV of the seed-S report."""
+        out, expected = tmp_path / "sweep.csv", tmp_path / "expected.csv"
         assert run_cli(
-            "run", "--n", "2", "--m", "1", "--d", "1", "--trials", "3",
-            "--seed", "1", "--out", str(out), "--format", "csv",
+            "sweep", "--axis", "seed", "--values", "5", "--attack", "collusion",
+            "--n", "3", "--m", "4", "--d", "2", "--trials", "6", "--out", str(out),
         ) == 0
-        lines = out.read_text().splitlines()
-        assert len(lines) == 2
-        assert lines[0].startswith("config,trials,detection_rate")
+        config = ScenarioConfig(n=3, m=4, d=2, attack="collusion", trials=6, seed=5)
+        harness.write_csv([harness.run_trials(config)], expected)
+        assert out.read_bytes() == expected.read_bytes()
+        assert len(out.read_text().splitlines()) == 2
+
+    def test_format_flag_is_refused(self, tmp_path, capsys):
+        out = tmp_path / "r.csv"
+        with pytest.raises(SystemExit) as refused:
+            run_cli("run", "--trials", "1", "--out", str(out), "--format", "csv")
+        assert refused.value.code == 2
+        assert "--format" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_threads_do_not_change_output(self, tmp_path, capsys):
         args = (
@@ -150,29 +161,26 @@ class TestScenarioResolution:
         scenario.write_text("[1, 2]")
         assert run_cli("run", "--scenario", str(scenario)) == 2
 
-    def test_seed_env_fallback(self, tmp_path, monkeypatch):
-        monkeypatch.setenv(cli.SEED_ENV_VAR, "123")
-        out = tmp_path / "r.json"
-        assert run_cli(
-            "run", "--n", "2", "--m", "1", "--d", "1", "--trials", "2", "--out", str(out)
-        ) == 0
-        assert json.loads(out.read_text())["config"]["seed"] == 123
-
-    def test_seed_flag_beats_env(self, tmp_path, monkeypatch):
-        monkeypatch.setenv(cli.SEED_ENV_VAR, "123")
-        out = tmp_path / "r.json"
-        assert run_cli(
-            "run", "--n", "2", "--m", "1", "--d", "1", "--trials", "2",
-            "--seed", "7", "--out", str(out),
-        ) == 0
-        assert json.loads(out.read_text())["config"]["seed"] == 7
-
-    def test_bad_env_seed(self, capsys, monkeypatch):
-        monkeypatch.setenv(cli.SEED_ENV_VAR, "not-a-number")
-        code = run_cli("run", "--n", "2", "--m", "1", "--d", "1", "--trials", "1")
+    def test_scenario_file_that_is_not_utf8(self, tmp_path, capsys):
+        scenario = tmp_path / "s.json"
+        scenario.write_bytes(b'\xff\xfe{"n": 3}')
+        code = run_cli("run", "--scenario", str(scenario), "--trials", "1")
         err = capsys.readouterr().err
         assert code == 2
-        assert cli.SEED_ENV_VAR in err
+        assert err.startswith("configuration error: scenario:")
+
+    def test_seed_environment_variable_is_ignored(self, tmp_path, monkeypatch, capsys):
+        """The seed comes from `--seed` or the scenario file, never the environment."""
+        args = ("run", "--n", "2", "--m", "1", "--d", "1", "--trials", "20")
+        plain, seeded = tmp_path / "a.json", tmp_path / "b.json"
+        monkeypatch.delenv("QSS_SEED", raising=False)
+        assert run_cli(*args, "--out", str(plain)) == 0
+        first = capsys.readouterr().out
+        monkeypatch.setenv("QSS_SEED", "123")
+        assert run_cli(*args, "--out", str(seeded)) == 0
+        assert capsys.readouterr().out == first
+        assert seeded.read_bytes() == plain.read_bytes()
+        assert json.loads(seeded.read_text())["config"]["seed"] == 0
 
 
 class TestSweep:

@@ -206,13 +206,13 @@ class TestReportFiles:
     def test_json_roundtrip(self, tmp_path):
         report = self._report()
         path = tmp_path / "report.json"
-        harness.write_report(report, path, "json")
-        loaded = harness.read_report(path, "json")
+        harness.write_report(report, path)
+        loaded = harness.read_report(path)
         assert loaded == report
 
     def test_json_file_has_no_timing_field(self, tmp_path):
         path = tmp_path / "report.json"
-        harness.write_report(self._report(), path, "json")
+        harness.write_report(self._report(), path)
         text = path.read_text()
         assert "wall_time" not in text
         assert sorted(json.loads(text).keys()) == sorted(harness.REPORT_COLUMNS)
@@ -220,15 +220,15 @@ class TestReportFiles:
     def test_csv_roundtrip(self, tmp_path):
         report = self._report()
         path = tmp_path / "report.csv"
-        harness.write_report(report, path, "csv")
-        assert harness.read_report(path, "csv") == report
+        harness.write_csv([report], path)
+        assert harness.read_csv(path) == [report]
 
     def test_csv_none_cells_roundtrip(self, tmp_path):
         report = self._report(attack="none")
         assert report.secret_recovery_rate is None
         path = tmp_path / "report.csv"
-        harness.write_report(report, path, "csv")
-        loaded = harness.read_report(path, "csv")
+        harness.write_csv([report], path)
+        [loaded] = harness.read_csv(path)
         assert loaded.secret_recovery_rate is None
         assert loaded == report
 
@@ -240,7 +240,7 @@ class TestReportFiles:
         with pytest.raises(TypeError):
             RunReport.from_dict(data)
         path = tmp_path / "report.csv"
-        harness.write_report(report, path, "csv")
+        harness.write_csv([report], path)
         with open(path, newline="") as handle:
             [row] = list(csv.DictReader(handle))
         row["detection_rate"] = ""
@@ -249,7 +249,7 @@ class TestReportFiles:
             writer.writeheader()
             writer.writerow(row)
         with pytest.raises(TypeError):
-            harness.read_report(path, "csv")
+            harness.read_csv(path)
 
     def test_multi_row_csv(self, tmp_path):
         reports = [self._report(seed=s) for s in (1, 2, 3)]
@@ -264,8 +264,8 @@ class TestReportFiles:
     def test_float_cells_roundtrip_exactly(self, tmp_path):
         report = self._report(attack="intercept_resend", trials=37)
         path = tmp_path / "report.csv"
-        harness.write_report(report, path, "csv")
-        loaded = harness.read_report(path, "csv")
+        harness.write_csv([report], path)
+        [loaded] = harness.read_csv(path)
         assert loaded.detection_rate == report.detection_rate
         assert loaded.exact_detection == report.exact_detection
 
@@ -273,21 +273,15 @@ class TestReportFiles:
         report = self._report()
         missing_dir = tmp_path / "no" / "such" / "dir" / "report.json"
         with pytest.raises(ReportWriteError):
-            harness.write_report(report, missing_dir, "json")
-        assert not missing_dir.exists()
+            harness.write_report(report, missing_dir)
+        with pytest.raises(ReportWriteError):
+            harness.write_csv([report], missing_dir.with_suffix(".csv"))
         assert list(tmp_path.iterdir()) == []
-
-    def test_bad_format_rejected(self, tmp_path):
-        report = self._report()
-        with pytest.raises(ValueError):
-            harness.write_report(report, tmp_path / "r.xml", "xml")
-        with pytest.raises(ValueError):
-            harness.read_report(tmp_path / "r.xml", "xml")
 
     def test_rewrite_is_byte_identical(self, tmp_path):
         config = ScenarioConfig(n=5, m=16, d=8, attack="collusion", trials=25, seed=9)
         first = tmp_path / "a.json"
         second = tmp_path / "b.json"
-        harness.write_report(harness.run_trials(config), first, "json")
-        harness.write_report(harness.run_trials(config), second, "json")
+        harness.write_report(harness.run_trials(config), first)
+        harness.write_report(harness.run_trials(config), second)
         assert first.read_bytes() == second.read_bytes()
