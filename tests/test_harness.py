@@ -274,6 +274,7 @@ class TestReportFiles:
         missing_dir = tmp_path / "no" / "such" / "dir" / "report.json"
         with pytest.raises(ReportWriteError):
             harness.write_report(report, missing_dir)
+        assert not missing_dir.exists()
         with pytest.raises(ReportWriteError):
             harness.write_csv([report], missing_dir.with_suffix(".csv"))
         assert list(tmp_path.iterdir()) == []
