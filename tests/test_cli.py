@@ -169,6 +169,15 @@ class TestScenarioResolution:
         assert code == 2
         assert err.startswith("configuration error: scenario:")
 
+    def test_scenario_seed_holds_without_the_flag(self, tmp_path, monkeypatch, capsys):
+        """Without `--seed` the scenario file's seed is used, whatever the environment."""
+        scenario = tmp_path / "s.json"
+        scenario.write_text(json.dumps({"n": 2, "m": 1, "d": 1, "trials": 3, "seed": 3}))
+        out = tmp_path / "r.json"
+        monkeypatch.setenv("QSS_SEED", "123")
+        assert run_cli("run", "--scenario", str(scenario), "--out", str(out)) == 0
+        assert json.loads(out.read_text())["config"]["seed"] == 3
+
     def test_seed_environment_variable_is_ignored(self, tmp_path, monkeypatch, capsys):
         """The seed comes from `--seed` or the scenario file, never the environment."""
         args = ("run", "--n", "2", "--m", "1", "--d", "1", "--trials", "20")

@@ -251,6 +251,21 @@ class TestReportFiles:
         with pytest.raises(TypeError):
             harness.read_csv(path)
 
+    def test_each_writer_has_one_format(self, tmp_path):
+        """The format follows the writer, never a parameter or the file suffix."""
+        for function in (harness.write_report, harness.read_report):
+            assert "format" not in inspect.signature(function).parameters
+        report = self._report()
+        as_json, as_csv = tmp_path / "report.csv", tmp_path / "report.json"
+        harness.write_report(report, as_json)
+        assert json.loads(as_json.read_text())["config"]["seed"] == 7
+        assert harness.read_report(as_json) == report
+        harness.write_csv([report], as_csv)
+        assert as_csv.read_text().splitlines()[0] == ",".join(harness.REPORT_COLUMNS)
+        assert harness.read_csv(as_csv) == [report]
+        with pytest.raises(json.JSONDecodeError):
+            harness.read_report(as_csv)
+
     def test_multi_row_csv(self, tmp_path):
         reports = [self._report(seed=s) for s in (1, 2, 3)]
         path = tmp_path / "sweep.csv"
