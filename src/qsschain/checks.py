@@ -8,6 +8,7 @@ work on the integer codes stated in `qcore`.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -133,16 +134,23 @@ def _intervals(weights) -> list[tuple[int, float, float]]:
     return intervals
 
 
-def _check_measurement(tag, rule, state, qubit, basis, to_state, failures) -> None:
-    """Compare a label Z/X measurement rule (p0, posts) with the dense engine."""
+def _check_measurement(tag, rule, collapse, state, qubit, basis, to_state, failures) -> None:
+    """Compare a label Z/X measurement with the dense engine.
+
+    `rule` is the closed form's (p0, posts), and `collapse(u)` the table the
+    run calls, which must give one (outcome, post code) over each outcome's
+    draw interval: the closed form's post, matching the dense post-state.
+    """
     p0, posts = rule
     dense_p0, dense_p1 = qcore.measurement_probabilities(state, qubit, basis)
     if max(abs(p0 - dense_p0), abs(1 - p0 - dense_p1)) > _RULE_TOL:
         failures.append(f"{tag}: p0 {p0} vs state vector {dense_p0:.12f}")
         return
     for expected, first, last in _intervals((p0, 1 - p0)):
-        if {labels.outcome(p0, first), labels.outcome(p0, last)} != {expected}:
-            failures.append(f"{tag}: draws in [{first}, {last}] do not all pick {expected}")
+        picked = {collapse(first), collapse(last)}
+        if picked != {(expected, posts[expected])}:
+            failures.append(f"{tag}: draws in [{first}, {last}] give {sorted(picked)}, "
+                            f"not outcome {expected} and code {posts[expected]}")
         got, post = qcore.collapse(state, qubit, basis, (first + last) / 2)
         if got != expected or not qcore.equal_up_to_phase(post, to_state(posts[expected]), _RULE_TOL):
             failures.append(f"{tag}: post-state of outcome {expected} differs")
@@ -155,9 +163,11 @@ def label_rule_table() -> CheckResult:
     four Pauli keys (80), Z/X measurement of either qubit of every pair
     (80), Z/X measurement of every decoy eigenstate (8), and Bell
     measurement of every pair (20). A measurement case compares the
-    outcome probabilities, checks that the first and the last draw of each
-    outcome's interval pick it, and compares the post-state the dense
-    engine leaves at the interval's midpoint.
+    closed form's outcome probabilities, checks that the rule the run calls
+    (`collapse`, `collapse_qubit`, `bell_outcome`, each an import-time
+    table) picks the outcome, and for Z/X the post code, at the first and
+    the last draw of each outcome's interval, and compares the post-state
+    the dense engine leaves at the interval's midpoint.
     """
     failures = []
     cases = 0
@@ -172,6 +182,7 @@ def label_rule_table() -> CheckResult:
         _check_measurement(
             f"measure: pair {pair} qubit {qubit} basis {_BASIS_NAMES[basis]}",
             labels.measure(pair, qubit, basis),
+            functools.partial(labels.collapse, pair, qubit, basis),
             _pair_state(pair), qubit, basis, _pair_state, failures,
         )
     for qubit, basis in itertools.product(range(4), (labels.Z, labels.X)):
@@ -179,6 +190,7 @@ def label_rule_table() -> CheckResult:
         _check_measurement(
             f"measure: decoy {qubit} basis {_BASIS_NAMES[basis]}",
             labels.measure_qubit(qubit, basis),
+            functools.partial(labels.collapse_qubit, qubit, basis),
             qcore.eigenstate(qubit), 0, basis, qcore.eigenstate, failures,
         )
     for pair in pairs:

@@ -16,9 +16,13 @@ and the codes below are those stated in `qcore`:
   only this module has.
 
 Pauli encodings, Z/X measurements and Bell measurements are the closed-form
-rules `pauli`, `measure_qubit`, `measure` and `bell_quarters`;
-`checks.label_rule_table` certifies each of them against the dense engine in
-`qcore` by enumeration.
+rules `pauli`, `measure_qubit`, `measure` and `bell_quarters`. Over at most
+20 codes they tabulate exactly, so the measurements a run makes, `collapse`,
+`collapse_qubit` and `bell_outcome`, index tables built at import from
+`measure`, `measure_qubit` and `bell_quarters`; the exact enumerations in
+`harness` call the closed forms. `checks.label_rule_table` certifies the
+closed forms and the tables against the dense engine in `qcore` by
+enumeration.
 
 `protocol.run_distribution` plays the protocol's one run on this module as
 its register algebra, resolving each rule here when it calls it, and
@@ -26,16 +30,19 @@ its register algebra, resolving each rule here when it calls it, and
 offers the same seven names over state vectors. The run draws the uniforms
 itself, one per measurement even where the outcome is certain, and hands
 each to the algebra as a float, so both algebras consume the generator
-alike. The rules' outcome thresholds (`outcome`, `bell_outcome`) are exact
-(1/2 and multiples of 1/4). The dense engine's are rounded: its p0 for an
-even split is 0.5 - 2**-53 or 0.5 - 2**-52, and its cumulative Bell
-probabilities fall up to 3 * 2**-53 short of 1/4, 1/2 and 3/4. The two
-algebras can therefore pick different outcomes only for a uniform draw
-that lies that close below a threshold (within 2**-52 of 1/2, the only
-threshold a run meets); certain outcomes agree at every draw.
+alike. The rules' outcome thresholds (outcome 0 for a draw below p0, and
+`bell_outcome`'s quarters) are exact (1/2 and multiples of 1/4). The
+dense engine's are rounded: its p0 for an even split is 0.5 - 2**-53 or
+0.5 - 2**-52, and its cumulative Bell probabilities fall up to 3 * 2**-53
+short of 1/4, 1/2 and 3/4. The two algebras can therefore pick different
+outcomes only for a uniform draw that lies that close below a threshold
+(within 2**-52 of 1/2, the only threshold a run meets); certain outcomes
+agree at every draw.
 """
 
 from __future__ import annotations
+
+import itertools
 
 Z, X = 0, 1
 
@@ -94,20 +101,6 @@ def measure(pair: int, qubit: int, basis: int) -> tuple[float, tuple[int, int]]:
     return p0, posts
 
 
-def collapse(pair: int, qubit: int, basis: int, u: float) -> tuple[int, int]:
-    """`measure` at the uniform draw u: (outcome, post-measurement pair code)."""
-    p0, posts = measure(pair, qubit, basis)
-    bit = outcome(p0, u)
-    return bit, posts[bit]
-
-
-def collapse_qubit(qubit: int, basis: int, u: float) -> tuple[int, int]:
-    """`measure_qubit` at the uniform draw u: (outcome, post-measurement qubit code)."""
-    p0, posts = measure_qubit(qubit, basis)
-    bit = outcome(p0, u)
-    return bit, posts[bit]
-
-
 def decoys_intact(plan: list[int], arrived: list[int]) -> bool:
     """True when every decoy arrived as planned, so none can show an error.
 
@@ -130,17 +123,51 @@ def bell_quarters(pair: int) -> tuple[int, int, int, int]:
     return (0, 2, 0, 2) if parity else (2, 0, 2, 0)  # |s>|t>: phase bit y = s^t
 
 
-def outcome(p0: float, u: float) -> int:
-    """Z/X outcome for the uniform draw u."""
-    return 0 if u < p0 else 1
+def _entry(p0: float, posts: tuple[int, int]) -> tuple[float, tuple]:
+    """A measurement table entry: p0, then (outcome, post) of outcomes 0 and 1."""
+    return p0, ((0, posts[0]), (1, posts[1]))
+
+
+def _bell_row(quarters: tuple[int, int, int, int]) -> tuple[int, ...]:
+    """Bell outcome for each quarter k = floor(4u) of the draw.
+
+    The outcome is the first label whose cumulative weight exceeds 4u. The
+    weights are whole quarters, so that label is the same for every u in
+    [k/4, (k + 1)/4): the first whose cumulative weight exceeds k.
+    """
+    bounds = list(itertools.accumulate(quarters))
+    return tuple(next(label for label, bound in enumerate(bounds) if k < bound) for k in range(4))
+
+
+# The run's rules as tables, built here from the closed forms above: 20 pair
+# codes x 2 qubits x 2 bases, 4 decoy codes x 2 bases, and 20 Bell rows.
+_COLLAPSE = tuple(
+    tuple(tuple(_entry(*measure(pair, qubit, basis)) for basis in (Z, X)) for qubit in (0, 1))
+    for pair in range(20)
+)
+_COLLAPSE_QUBIT = tuple(
+    tuple(_entry(*measure_qubit(qubit, basis)) for basis in (Z, X)) for qubit in range(4)
+)
+_BELL_ROWS = tuple(_bell_row(bell_quarters(pair)) for pair in range(20))
+
+
+def collapse(pair: int, qubit: int, basis: int, u: float) -> tuple[int, int]:
+    """`measure` at the uniform draw u: (outcome, post-measurement pair code)."""
+    p0, branches = _COLLAPSE[pair][qubit][basis]
+    return branches[u >= p0]  # outcome 0 for u < p0
+
+
+def collapse_qubit(qubit: int, basis: int, u: float) -> tuple[int, int]:
+    """`measure_qubit` at the uniform draw u: (outcome, post-measurement qubit code)."""
+    p0, branches = _COLLAPSE_QUBIT[qubit][basis]
+    return branches[u >= p0]
 
 
 def bell_outcome(pair: int, u: float) -> int:
-    """Bell outcome code (2x + y) for the uniform draw u."""
-    scaled = 4 * u  # exact: a power-of-two scaling
-    cumulative = 0
-    for label, quarters in enumerate(bell_quarters(pair)):
-        cumulative += quarters
-        if scaled < cumulative:
-            return label
-    raise ValueError(f"uniform draw {u} outside [0, 1)")
+    """Bell outcome code (2x + y) for the uniform draw u, from the row of floor(4u).
+
+    4u is exact, a power-of-two scaling.
+    """
+    if not 0.0 <= u < 1.0:
+        raise ValueError(f"uniform draw {u} outside [0, 1)")
+    return _BELL_ROWS[pair][int(4 * u)]

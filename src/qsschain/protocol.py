@@ -170,8 +170,11 @@ def verify_decoys(alg, plan: Sequence[int], arrived: Sequence, rng: np.random.Ge
 
     `arrived[i]` is the register in which the decoy coded `plan[i]` reached
     the receiver. One uniform is drawn per decoy even where the algebra
-    knows they are intact. A hop passes only with no errors.
+    knows they are intact; a hop without decoys draws nothing. A hop passes
+    only with no errors.
     """
+    if not plan:
+        return 0
     draws = rng.random(len(plan))
     if alg.decoys_intact(plan, arrived):
         return 0
@@ -309,8 +312,11 @@ def _run(alg, config: ScenarioConfig, rng: np.random.Generator) -> Transcript:
     """Play one distribution run on the register algebra `alg` (see the module docstring)."""
     config.validate()
     n, m, d = config.n, config.m, config.d
-    codes = _bit_pairs(rng, m)
-    key_codes = [_bit_pairs(rng, m) for _ in range(n)]
+    # the prepared codes, then each participant's keys; a bounded integer draw takes
+    # the stream one element at a time, so one draw gives what n + 1 draws of m give
+    drawn = _bit_pairs(rng, (n + 1) * m)
+    codes = drawn[:m]
+    key_codes = [drawn[m * k : m * (k + 1)] for k in range(1, n + 1)]
     collusion = config.attack == "collusion"
     eve_hop = n if config.attack == "intercept_resend" else None
     decoy_checks: list[DecoyCheckResult] = []

@@ -1,6 +1,7 @@
 """Harness tests: trial streams, aggregation, exact companions, report files."""
 
 import csv
+import hashlib
 import inspect
 import json
 import math
@@ -98,39 +99,105 @@ class TestRunTrials:
         second = harness.run_trials(config)
         assert first == second
 
-    def test_trials_run_in_the_calling_thread(self, monkeypatch):
-        """Trials run serially in the calling thread; the config is the only argument."""
-        idents = []
+    @pytest.mark.parametrize(
+        "config",
+        [
+            ScenarioConfig(n=2, m=2, d=3, attack="intercept_resend", trials=64, seed=6),
+            # 47 of these 64 trials end with a 32-bit half buffered in the generator
+            ScenarioConfig(
+                n=3, m=4, d=2, attack="intercept_resend", check="improved", trials=64, seed=6
+            ),
+        ],
+        ids=["original", "improved"],
+    )
+    def test_trials_run_in_the_calling_thread(self, config, monkeypatch):
+        """Trials run serially in the calling thread, trial i on `trial_generator(seed, i)`'s stream.
+
+        The config is `run_trials`' only argument.
+        """
+        idents, states = [], []
         run_distribution = protocol.run_distribution
 
         def recording(config, rng):
             idents.append(threading.get_ident())
+            states.append(rng.bit_generator.state)
             return run_distribution(config, rng)
 
         monkeypatch.setattr(protocol, "run_distribution", recording)
-        config = ScenarioConfig(n=2, m=2, d=3, attack="intercept_resend", trials=64, seed=6)
         harness.run_trials(config)
         assert idents == [threading.get_ident()] * config.trials
+        assert states == [
+            harness.trial_generator(config.seed, i).bit_generator.state
+            for i in range(config.trials)
+        ]
         assert list(inspect.signature(harness.run_trials).parameters) == ["config"]
 
-    def test_draw_schedule_is_kept(self):
-        """Bytes of a fixed intercept-resend report under the improved check.
+    @pytest.mark.parametrize(
+        "overrides,detection_rate,digest",
+        [
+            (
+                dict(check="improved", d=1),
+                0.675,
+                "0699b9bd7f03224149edf540497a28996b9edae535b0e96d449d03702e8670ce",
+            ),
+            (
+                dict(check="original", d=8),
+                0.875,
+                "4f2dd11c1bfb265f1149ae371efa6610e28ba4aa966242a64b4f0f0c1163a448",
+            ),
+            (  # every pair sampled: the payload is empty
+                dict(check="improved", d=1, check_fraction=1.0),
+                0.85,
+                "c1b865c032fbbb688e5f9ff7b0928ee65928fe55a5388f92622b483775b1fa30",
+            ),
+            (  # no decoys: no hop draws for its decoy check
+                dict(check="improved", d=0, n=4),
+                0.45,
+                "2b2a39017032ac20942757c6c1efd091174ca0e0290ab312cae1f429c20c4879",
+            ),
+            (  # the seed's first two-word value
+                dict(check="improved", d=1, seed=2**32),
+                0.675,
+                "baf1c28cbfab063478d8d46d915f908acec1cebc4d9bdca427b0927ac7e06b97",
+            ),
+            (  # the largest seed
+                dict(check="improved", d=1, seed=2**64 - 1),
+                0.675,
+                "b209968330809dccea2cead236fbd53ba473b5835a8bebf066d69ace1a44c80b",
+            ),
+            (  # trials past the first block of derived streams
+                dict(check="original", d=1, n=2, m=2, trials=1100),
+                0.24727272727272728,
+                "3c8753ba4a0fd0f065a8049ed0fd62f159957dd22e4a85b8d1b5437866e7d06c",
+            ),
+        ],
+        ids=["improved", "original-d8", "all-sampled", "n4-d0", "seed-2to32", "seed-max", "1100"],
+    )
+    def test_draw_schedule_is_kept(self, overrides, detection_rate, digest):
+        """Bytes of fixed intercept-resend reports, as a sha256 of their sorted JSON.
 
         Every uniform the run draws can move an intercept-resend outcome, so
         these bytes change with the draw schedule, for instance if the
-        improved check stops drawing the key-publication order it discards.
+        improved check stops drawing the key-publication order it discards,
+        or with the streams the trials draw from.
         """
         config = ScenarioConfig(
-            n=3, m=6, d=1, attack="intercept_resend", check="improved",
-            check_fraction=0.5, trials=40, seed=2024,
-        )
-        assert json.dumps(harness.run_trials(config).to_dict(), sort_keys=True) == (
-            '{"ci_high": 0.7991568303733828, "ci_low": 0.52017458088898, "config": '
-            '{"attack": "intercept_resend", "check": "improved", "check_fraction": 0.5, '
-            '"d": 1, "m": 6, "n": 3, "seed": 2024, "trials": 40}, "detection_rate": 0.675, '
-            '"exact_detection": 0.68359375, "per_decoy_error_rate": 0.225, '
-            '"secret_recovery_rate": null, "trials": 40}'
-        )
+            n=3, m=6, attack="intercept_resend", check_fraction=0.5, trials=40, seed=2024
+        ).replace(**overrides)
+        report = harness.run_trials(config)
+        assert report.detection_rate == detection_rate
+        text = json.dumps(report.to_dict(), sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+class TestTrialStates:
+    @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1])
+    def test_states_are_those_of_trial_generator(self, seed):
+        """The derived PCG64 states, across the seed's and the index's 32-bit words."""
+        trials = [0, 1, 1023, 1024, 5000, 2**32 - 1, 2**32, 2**40 + 7]
+        assert harness._trial_states(seed, trials) == [
+            harness.trial_generator(seed, trial).bit_generator.state for trial in trials
+        ]
 
 
 class TestExactDetection:

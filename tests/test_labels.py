@@ -27,18 +27,46 @@ def test_default_run_builds_no_state_vector(attack, check, monkeypatch):
     assert len(transcript.decoy_checks) == config.n + 1
 
 
+@pytest.mark.parametrize(
+    "table,path,entry",
+    [
+        # pair 7 (|0>|->), traveling qubit in Z: outcome 1 leaves |0>|1>, code 5, not 6
+        ("_COLLAPSE", (7, 1, labels.Z), (0.5, ((0, 4), (1, 6)))),
+        # decoy |0> measured in Z: certain outcome 0, not an even split
+        ("_COLLAPSE_QUBIT", (0, labels.Z), (0.5, ((0, 0), (1, 1)))),
+        # pair 10 (|1>|+>): each Bell outcome has 1/4, so the third quarter is code 2, not 3
+        ("_BELL_ROWS", (10, 2), 3),
+    ],
+)
+def test_rule_table_checks_the_tables_the_run_reads(table, path, entry, monkeypatch):
+    def replaced(node, path):
+        if not path:
+            return entry
+        head, rest = path[0], path[1:]
+        return node[:head] + (replaced(node[head], rest),) + node[head + 1 :]
+
+    monkeypatch.setattr(labels, table, replaced(getattr(labels, table), path))
+    result = checks.label_rule_table()
+    assert result.cases == 188
+    assert len(result.failures) == 1
+
+
 def test_certain_outcomes_at_edge_draws():
     for pair in range(4):
         assert labels.bell_outcome(pair, 0.0) == pair
         assert labels.bell_outcome(pair, 1.0 - 2.0**-53) == pair
     for qubit in range(4):
-        p0, _ = labels.measure_qubit(qubit, qubit >> 1)
-        assert labels.outcome(p0, 0.0) == labels.outcome(p0, 1.0 - 2.0**-53) == qubit & 1
+        kept = (qubit & 1, qubit)
+        assert labels.collapse_qubit(qubit, qubit >> 1, 0.0) == kept
+        assert labels.collapse_qubit(qubit, qubit >> 1, 1.0 - 2.0**-53) == kept
+    for pair in range(20):
+        with pytest.raises(ValueError):
+            labels.bell_outcome(pair, 1.0)
 
 
 def test_even_split_threshold_is_exactly_one_half():
-    p0, _ = labels.measure(0, 0, labels.Z)
-    assert (labels.outcome(p0, 0.5 - 2.0**-53), labels.outcome(p0, 0.5)) == (0, 1)
+    outcomes = [labels.collapse(0, 0, labels.Z, u)[0] for u in (0.5 - 2.0**-53, 0.5)]
+    assert outcomes == [0, 1]
     assert labels.bell_outcome(labels.product(0, 0), np.nextafter(0.5, 0)) == 0
     assert labels.bell_outcome(labels.product(0, 0), 0.5) == 1
 
