@@ -89,8 +89,7 @@ def _summary_line(report: harness.RunReport) -> str:
     if report.secret_recovery_rate is not None:
         parts.append(f"secret_recovery_rate={report.secret_recovery_rate:.6f}")
     parts.append(f"per_decoy_error_rate={report.per_decoy_error_rate:.6f}")
-    if report.exact_detection is not None:
-        parts.append(f"exact_detection={report.exact_detection:.6f}")
+    parts.append(f"exact_detection={report.exact_detection:.6f}")
     return " ".join(parts)
 
 
@@ -183,7 +182,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except ConfigError as err:
         print(f"configuration error: {err}", file=sys.stderr)
         return 2
-    except (OSError, RuntimeError, ValueError) as err:
+    except (MemoryError, OSError, RuntimeError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
 

@@ -44,7 +44,7 @@ __all__ = [
 
 _CI_Z = 1.96  # 95% two-sided normal quantile
 
-_NULLABLE_COLUMNS = ("secret_recovery_rate", "exact_detection")
+_NULLABLE_COLUMNS = ("secret_recovery_rate",)
 
 
 class ReportWriteError(OSError):
@@ -56,8 +56,9 @@ class RunReport:
     """Aggregated statistics of one scenario's trial batch.
 
     Its fields, in order, are the report's columns (`REPORT_COLUMNS`).
-    Every column after `config` and `trials` is a float, and those in
-    `_NULLABLE_COLUMNS` may be None.
+    Every column after `config` and `trials` is a float. Only those in
+    `_NULLABLE_COLUMNS` may be None: the recovery rate has no value without
+    an undetected collusion trial.
     """
 
     config: ScenarioConfig
@@ -67,7 +68,7 @@ class RunReport:
     ci_high: float
     secret_recovery_rate: Optional[float]
     per_decoy_error_rate: float
-    exact_detection: Optional[float]
+    exact_detection: float
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
@@ -231,11 +232,7 @@ def run_trials(config: ScenarioConfig) -> RunReport:
     recovery: Optional[float] = None
     if config.attack == "collusion" and undetected_collusion > 0:
         recovery = recovered / undetected_collusion
-    exact: Optional[float]
-    if config.attack == "none":
-        exact = 0.0  # untouched noiseless channel: no check can fire
-    else:
-        exact = exact_detection(config.attack, config.d, protocol.sampled_pairs(config))
+    exact = exact_detection(config.attack, config.d, protocol.sampled_pairs(config))
     return RunReport(
         config=config,
         trials=config.trials,
@@ -302,6 +299,7 @@ def exact_detection(attack: str, d: int, sampled: int = 0) -> float:
 
     `d` is the number of decoys per hop and `sampled` the number of pairs
     the improved check measures (0 for the original check).
+    none: 0, since no check fires on an untouched noiseless channel.
     intercept_resend: 1 - (1 - p)^d (1 - q)^sampled, with p the enumerated
     per-decoy error rate and q the enumerated chance that the parity check
     flags a pair the eavesdropper measured; both are 1/4, so this is
@@ -313,6 +311,8 @@ def exact_detection(attack: str, d: int, sampled: int = 0) -> float:
         raise ValueError(f"decoy count must be >= 0, got {d}")
     if sampled < 0:
         raise ValueError(f"sampled pair count must be >= 0, got {sampled}")
+    if attack == "none":
+        return 0.0
     if attack == "intercept_resend":
         missed = (1 - _intercept_resend_decoy_error()) ** d
         missed *= (1 - _intercept_resend_pair_error()) ** sampled

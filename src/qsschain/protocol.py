@@ -31,10 +31,18 @@ offering `bell_pairs`, `eigenstates`, `pauli`, `collapse`,
 stated in `qcore`. `run_distribution` plays it on the `labels` module and
 `run_distribution_dense` on the `qcore` module, the dense algebra of state
 vectors. The run draws every uniform and hands it to the algebra, so a
-fixed generator state gives the same transcript on either. Each hop plans
-its decoys with `insert_decoys`; the steps `verify_decoys`, `encode_key`,
-`improved_check` and the attack steps `read_probes` and `intercept_resend`
-take the algebra. `adversary` describes both attacks.
+fixed generator state gives the same transcript on either.
+
+The chain is one loop over hops 0..n of whatever travels. Hop k >= 1
+applies participant k's key with `encode_key`; every hop then plans its
+decoys with `insert_decoys`, lets the eavesdropper measure with
+`intercept_resend` if it is her hop (hop n), and checks the decoys with
+`verify_decoys`. Collusion adds two handoffs and nothing else: at hop 1
+the encoded genuine particles are relayed privately and probe pairs
+travel instead, and at hop n the probes are read with `read_probes`, the
+genuine particles travel again, and the last colluder applies its key
+XOR the recovered composite. `improved_check` follows the loop.
+`adversary` describes both attacks.
 
 The run works on integer codes throughout. Its `Transcript` holds typed
 views (`BELL_LABELS`, `KEYS`, `BASES`, each indexed by code) only of the
@@ -320,9 +328,21 @@ def _run(alg, config: ScenarioConfig, rng: np.random.Generator) -> Transcript:
     collusion = config.attack == "collusion"
     eve_hop = n if config.attack == "intercept_resend" else None
     decoy_checks: list[DecoyCheckResult] = []
-
-    def ship(hop: int, travelers: list) -> None:
-        """Send `travelers` over one hop among d fresh decoys and check them on arrival."""
+    travelers = alg.bell_pairs(codes)
+    relayed: list = []  # the genuine particles the first colluder hands to the last
+    composites: list[int] = []
+    applied: list[int] = []  # the key codes the last colluder applies to the genuine particles
+    for hop in range(n + 1):
+        if hop:
+            key = key_codes[hop - 1]
+            if collusion and hop == n:  # read the probes, take back the genuine particles
+                composites = read_probes(alg, travelers, rng)
+                travelers = relayed
+                key = applied = [own ^ composite for own, composite in zip(key, composites)]
+            travelers = encode_key(alg, travelers, key)
+            if collusion and hop == 1:  # relay the genuine particles; the probes travel
+                relayed = travelers
+                travelers = alg.bell_pairs([adversary.PROBE] * m)
         slots, plan = insert_decoys(len(travelers), d, rng)
         arrived = alg.eigenstates(plan)
         if hop == eve_hop:  # she measures every particle; travelers collapse in place
@@ -330,38 +350,15 @@ def _run(alg, config: ScenarioConfig, rng: np.random.Generator) -> Transcript:
         errors = verify_decoys(alg, plan, arrived, rng)
         decoy_checks.append(DecoyCheckResult(hop, errors, hop == eve_hop))
 
-    pairs = alg.bell_pairs(codes)
-    ship(0, pairs)
-    composites: list[int] = []
-    applied: list[int] = []  # the key codes the last colluder applies to the genuine particles
-    for k in range(1, n + 1):
-        if collusion and k == 1:
-            # the first colluder encodes the genuine particles and relays them
-            # privately; the chain carries the probe halves instead
-            pairs = encode_key(alg, pairs, key_codes[0])
-            probes = alg.bell_pairs([adversary.PROBE] * m)
-            ship(1, probes)
-        elif collusion and k == n:
-            composites = read_probes(alg, probes, rng)
-            applied = [own ^ composite for own, composite in zip(key_codes[n - 1], composites)]
-            pairs = encode_key(alg, pairs, applied)
-            ship(n, pairs)
-        elif collusion:
-            probes = encode_key(alg, probes, key_codes[k - 1])
-            ship(k, probes)
-        else:
-            pairs = encode_key(alg, pairs, key_codes[k - 1])
-            ship(k, pairs)
-
     improved = None
     sampled: set[int] = set()
     if config.check == "improved":
-        improved = improved_check(alg, pairs, codes, sampled_pairs(config), key_codes, rng)
+        improved = improved_check(alg, travelers, codes, sampled_pairs(config), key_codes, rng)
         sampled = set(improved.sampled_positions)
 
     payload_positions = [p for p in range(1, m + 1) if p not in sampled]
     draws = rng.random(len(payload_positions)).tolist()
-    readout = [alg.bell_outcome(pairs[p - 1], u) for p, u in zip(payload_positions, draws)]
+    readout = [alg.bell_outcome(travelers[p - 1], u) for p, u in zip(payload_positions, draws)]
 
     attacker_bits = None
     if collusion:  # the pairs carry the first colluder's key and then `applied`

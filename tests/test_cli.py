@@ -56,6 +56,28 @@ class TestRun:
         assert "secret_recovery_rate" not in out
         assert "detection_rate=0.000000" in out
 
+    def test_memory_error_is_reported(self, tmp_path, capsys, monkeypatch):
+        """A batch too large to allocate exits 1 with a one-line error, no traceback.
+
+        The allocation is simulated: a real one could succeed under memory
+        overcommit and then fill the host's memory.
+        """
+        message = "Unable to allocate 14.6 TiB for an array with shape (1000000000001, 2)"
+
+        def out_of_memory(config):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(harness, "run_trials", out_of_memory)
+        out = tmp_path / "report.json"
+        code = run_cli(
+            "run", "--n", "1000000000000", "--m", "1", "--trials", "1", "--out", str(out)
+        )
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err == f"error: {message}\n"
+        assert captured.out == ""
+        assert not out.exists()
+
     def test_report_written_and_reproducible(self, tmp_path, capsys):
         args = (
             "run", "--attack", "intercept_resend", "--n", "2", "--m", "2", "--d", "2",

@@ -256,12 +256,16 @@ class TestExactDetection:
         assert harness.exact_detection("collusion", 0) == 0.0
 
     def test_unsupported_kind(self):
+        """Every attack kind has a companion, 0 with no attack; other kinds and counts raise."""
+        assert harness.exact_detection("none", 4) == 0.0
+        assert harness.exact_detection("none", 0, sampled=3) == 0.0
         with pytest.raises(ValueError):
-            harness.exact_detection("none", 4)
-        with pytest.raises(ValueError):
-            harness.exact_detection("intercept_resend", -1)
-        with pytest.raises(ValueError):
-            harness.exact_detection("intercept_resend", 2, sampled=-1)
+            harness.exact_detection("eavesdrop", 4)
+        for attack in ("none", "intercept_resend", "collusion"):
+            with pytest.raises(ValueError):
+                harness.exact_detection(attack, -1)
+            with pytest.raises(ValueError):
+                harness.exact_detection(attack, 2, sampled=-1)
 
 
 class TestReportFiles:
@@ -299,18 +303,19 @@ class TestReportFiles:
         assert loaded.secret_recovery_rate is None
         assert loaded == report
 
-    def test_missing_required_value_is_rejected(self, tmp_path):
+    @pytest.mark.parametrize("column", ["detection_rate", "exact_detection"])
+    def test_missing_required_value_is_rejected(self, tmp_path, column):
         """A blank CSV cell fails like a JSON null: both reach `from_dict` as None."""
         report = self._report()
         data = report.to_dict()
-        data["detection_rate"] = None
+        data[column] = None
         with pytest.raises(TypeError):
             RunReport.from_dict(data)
         path = tmp_path / "report.csv"
         harness.write_csv([report], path)
         with open(path, newline="") as handle:
             [row] = list(csv.DictReader(handle))
-        row["detection_rate"] = ""
+        row[column] = ""
         with open(path, "w", newline="") as handle:
             writer = csv.DictWriter(handle, fieldnames=harness.REPORT_COLUMNS)
             writer.writeheader()

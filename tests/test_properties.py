@@ -45,7 +45,7 @@ reports = st.builds(
     ci_high=rates,
     secret_recovery_rate=st.none() | rates,
     per_decoy_error_rate=rates,
-    exact_detection=st.none() | rates,
+    exact_detection=rates,
 )
 
 

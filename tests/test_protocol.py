@@ -1,5 +1,7 @@
 """Distribution-phase tests: decoy checks, key algebra, honest end-to-end runs."""
 
+import dataclasses
+import hashlib
 import itertools
 import math
 
@@ -305,6 +307,20 @@ class TestImprovedCheck:
         assert abs(rate - 0.25) < 3 * math.sqrt(0.25 * 0.75 / trials)
 
 
+TRANSCRIPT_DIGESTS = {  # (attack, check): sha256 of 180 runs, the same on both algebras
+    ("none", "original"): "883f6073164d97ebdaf9423e21f91327be2ca1ea7c8cbffe27a299e5ad4a9f77",
+    ("none", "improved"): "0e88ab74db2b1c517649d810957a389c4f4ccfd0dd31bd663d60a64627eccb41",
+    ("collusion", "original"): "2c3fb9e956d29370a211b3300568a3bb806d943ea85b76d36d60e4937ebfb054",
+    ("collusion", "improved"): "be70895a9697e4fb1bb758de6f3fd7430019a66aaaf59fa538e290a7eb2c84b0",
+    ("intercept_resend", "original"): (
+        "da0189445f945c141ab28190fff76a9fbccd9d0b1dc0a5f2c767f6a0ddd12c4b"
+    ),
+    ("intercept_resend", "improved"): (
+        "8811fc4b603560ac219ec4b4da788e6bb4d79c7f6166d616b46f15b4ebe06d70"
+    ),
+}
+
+
 class TestRunDistribution:
     def test_honest_run_structure(self):
         config = ScenarioConfig(n=3, m=8, d=4, trials=1, seed=100)
@@ -398,6 +414,28 @@ class TestRunDistribution:
         dense = protocol.run_distribution_dense(config, dense_rng)
         assert fast == dense
         assert label_rng.bit_generator.state == dense_rng.bit_generator.state
+
+    @pytest.mark.parametrize("alg", ALGEBRAS)
+    @pytest.mark.parametrize("attack,check", TRANSCRIPT_DIGESTS)
+    def test_transcripts_and_generator_states_are_pinned(self, alg, attack, check):
+        """sha256 of every transcript and final generator state over n, d and 30 seeds.
+
+        Honest and collusion reports do not depend on the draws, so only a pin
+        of the transcripts sees a draw moved inside the hop loop. The config
+        echo is left out, so that a new config field does not move the pins.
+        """
+        sha = hashlib.sha256()
+        for n, d, seed in itertools.product((2, 3, 5), (0, 3), range(30)):
+            config = ScenarioConfig(n=n, m=4, d=d, attack=attack, check=check, trials=1, seed=seed)
+            rng = np.random.default_rng(seed)
+            transcript = protocol._run(alg, config, rng)
+            fields = [
+                getattr(transcript, f.name)
+                for f in dataclasses.fields(transcript)
+                if f.name != "config"
+            ]
+            sha.update(repr((fields, rng.bit_generator.state)).encode())
+        assert sha.hexdigest() == TRANSCRIPT_DIGESTS[attack, check]
 
     @pytest.mark.parametrize(
         "changes,field",
