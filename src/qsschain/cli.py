@@ -19,9 +19,10 @@ import sys
 from typing import Optional
 
 from . import checks, harness
-from .config import ATTACK_KINDS, CHECK_KINDS, ConfigError, ScenarioConfig, config_from_dict
+from .config import ATTACK_KINDS, CHECK_KINDS, FIELDS, INTEGER_FIELDS, ConfigError
+from .config import ScenarioConfig, config_from_dict
 
-_SWEEP_AXES = ("n", "m", "d", "trials", "seed", "check_fraction")
+_SWEEP_AXES = (*INTEGER_FIELDS, "check_fraction")
 
 
 def _add_scenario_arguments(parser: argparse.ArgumentParser) -> None:
@@ -57,20 +58,14 @@ def _load_scenario_file(path: str) -> dict:
 
 
 def _resolve_config(args: argparse.Namespace) -> ScenarioConfig:
-    """Scenario from file plus flag overrides."""
+    """Scenario from file plus flag overrides; each is checked as it is built."""
     data = _load_scenario_file(args.scenario) if args.scenario else {}
-    config = config_from_dict(data)
-
-    overrides = {}
-    for name in ("n", "m", "d", "attack", "check", "check_fraction", "trials", "seed"):
-        value = getattr(args, name)
-        if value is not None:
-            overrides[name] = value
-    if overrides:
-        config = config.replace(**overrides)
-    config.validate()
+    overrides = {name: getattr(args, name) for name in FIELDS if getattr(args, name) is not None}
+    config = config_from_dict(data).replace(**overrides)
     if args.threads < 1:  # argparse has already refused a non-integer
         raise ConfigError("threads", f"must be an integer >= 1, got {args.threads}")
+    if args.out == "":
+        raise ConfigError("out", "must be a file path, got ''")
     return config
 
 
@@ -96,7 +91,7 @@ def _summary_line(report: harness.RunReport) -> str:
 def cmd_run(args: argparse.Namespace) -> int:
     config = _resolve_config(args)
     report = harness.run_trials(config)
-    if args.out:
+    if args.out is not None:
         harness.write_report(report, args.out)
     print(_summary_line(report))
     return 0
@@ -111,7 +106,7 @@ def _parse_axis_values(axis: str, raw: str) -> list:
     values = []
     for item in items:
         try:
-            values.append(float(item) if axis == "check_fraction" else int(item))
+            values.append(int(item) if axis in INTEGER_FIELDS else float(item))
         except ValueError as err:
             raise ConfigError("values", f"{item!r} is not a valid {axis} value") from err
     return values
@@ -120,9 +115,8 @@ def _parse_axis_values(axis: str, raw: str) -> list:
 def cmd_sweep(args: argparse.Namespace) -> int:
     base = _resolve_config(args)
     values = _parse_axis_values(args.axis, args.values)
+    # every config is built, and so checked, before the first row runs
     configs = [base.replace(**{args.axis: value}) for value in values]
-    for config in configs:  # reject a bad value before any row runs
-        config.validate()
     reports = [harness.run_trials(config) for config in configs]
     harness.write_csv(reports, args.out)
     for value, report in zip(values, reports):

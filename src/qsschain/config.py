@@ -1,4 +1,9 @@
-"""Scenario configuration shared by the protocol, the harness and the CLI."""
+"""Scenario configuration shared by the protocol, the harness and the CLI.
+
+`ScenarioConfig(...)`, `replace` and `config_from_dict` raise `ConfigError`
+naming the offending field, so a scenario file must be valid on its own
+before the CLI's flags override it.
+"""
 
 from __future__ import annotations
 
@@ -8,6 +13,7 @@ from typing import Any
 
 ATTACK_KINDS = ("none", "collusion", "intercept_resend")
 CHECK_KINDS = ("original", "improved")
+INTEGER_FIELDS = ("n", "m", "d", "trials", "seed")
 
 _MAX_SEED = 2**64
 
@@ -47,9 +53,12 @@ class ScenarioConfig:
     trials: int = 1000
     seed: int = 0
 
+    def __post_init__(self) -> None:
+        self.validate()
+
     def validate(self) -> None:
         """Raise ConfigError naming the offending field if any value is invalid."""
-        for name in ("n", "m", "d", "check_fraction", "trials", "seed"):
+        for name in (*INTEGER_FIELDS, "check_fraction"):
             if isinstance(getattr(self, name), bool):  # bool is an int subclass
                 raise ConfigError(name, f"must be a number, got {getattr(self, name)!r}")
         if not isinstance(self.n, int) or self.n < 2:
@@ -87,30 +96,23 @@ class ScenarioConfig:
         return dataclasses.asdict(self)
 
 
-_FIELD_TYPES = {f.name: f.type for f in dataclasses.fields(ScenarioConfig)}
+FIELDS = tuple(field.name for field in dataclasses.fields(ScenarioConfig))
 
 
 def config_from_dict(data: dict[str, Any]) -> ScenarioConfig:
     """Build a ScenarioConfig from scenario-file contents.
 
-    Unknown fields raise ConfigError naming the field; numeric fields accept
-    only values that preserve their exact meaning (floats with integral
-    values are accepted for integer fields since JSON has one number type).
+    Unknown fields raise ConfigError naming the field. JSON has one number
+    type, so an integral float becomes an integer field's int and an int
+    becomes `check_fraction`'s float; `ScenarioConfig` checks the rest.
     """
     clean: dict[str, Any] = {}
     for key, value in data.items():
-        if key not in _FIELD_TYPES:
+        if key not in FIELDS:
             raise ConfigError(key, "unknown scenario field")
-        if key in ("n", "m", "d", "trials", "seed"):
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise ConfigError(key, f"must be an integer, got {value!r}")
-            if isinstance(value, float):
-                if not value.is_integer():
-                    raise ConfigError(key, f"must be an integer, got {value!r}")
-                value = int(value)
-        elif key == "check_fraction":
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise ConfigError(key, f"must be a number, got {value!r}")
+        if key in INTEGER_FIELDS and isinstance(value, float) and value.is_integer():
+            value = int(value)
+        elif key == "check_fraction" and type(value) is int:  # a bool stays a bool
             value = float(value)
         clean[key] = value
     return ScenarioConfig(**clean)

@@ -12,6 +12,7 @@ trial draws the bytes of `trial_generator(seed, index)`.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import dataclasses
 import functools
@@ -206,7 +207,6 @@ def run_trials(config: ScenarioConfig) -> RunReport:
     `trial_generator(config.seed, i)`; the exact companion counts
     `protocol.sampled_pairs`.
     """
-    config.validate()
     detected = undetected_collusion = recovered = 0
     attacked_errors = attacked_hops = all_errors = all_hops = 0
     for rng in _trial_streams(config.seed, config.trials):
@@ -341,16 +341,16 @@ def _report_row(report: RunReport) -> list:
 
 def _atomic_write(path: str | os.PathLike, text: str) -> None:
     target = Path(path)
-    scratch = target.with_name(target.name + ".partial")
+    # a fresh name, created exclusively: no existing file is truncated or removed
+    scratch = target.with_name(f"{target.name}.{os.urandom(8).hex()}.partial")
     try:
-        with open(scratch, "w", encoding="utf-8") as handle:
+        with open(scratch, "x", encoding="utf-8") as handle:
             handle.write(text)
         os.replace(scratch, target)
     except OSError as err:
-        try:
-            scratch.unlink()
-        except OSError:
-            pass
+        if not isinstance(err, FileExistsError):  # else the name was not this call's
+            with contextlib.suppress(OSError):
+                scratch.unlink()
         raise ReportWriteError(f"cannot write report to {target}: {err}") from err
 
 

@@ -318,6 +318,7 @@ def read_probes(alg, probes: Sequence, rng: np.random.Generator) -> list[int]:
 
 def _run(alg, config: ScenarioConfig, rng: np.random.Generator) -> Transcript:
     """Play one distribution run on the register algebra `alg` (see the module docstring)."""
+    # checked when built; kept only because the benchmark counts one validate per trial
     config.validate()
     n, m, d = config.n, config.m, config.d
     # the prepared codes, then each participant's keys; a bounded integer draw takes

@@ -1,5 +1,6 @@
 """Command-line tests, run in-process through main(argv)."""
 
+import csv
 import json
 import re
 from pathlib import Path
@@ -128,6 +129,23 @@ class TestRun:
         assert first == second
 
 
+class TestEmptyOut:
+    """An empty `--out` is refused before any trial runs, by both commands."""
+
+    @pytest.mark.parametrize(
+        "command", [("run",), ("sweep", "--axis", "d", "--values", "1")]
+    )
+    def test_empty_out_runs_no_trial(self, command, tmp_path, monkeypatch, capsys):
+        calls = []
+        monkeypatch.setattr(harness, "run_trials", lambda *a, **k: calls.append(a))
+        monkeypatch.chdir(tmp_path)
+        code = run_cli(*command, "--trials", "2", "--out", "")
+        assert code == 2
+        assert capsys.readouterr().err.startswith("configuration error: out:")
+        assert calls == []
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestScenarioResolution:
     @pytest.mark.parametrize(
         "flags,named",
@@ -164,6 +182,30 @@ class TestScenarioResolution:
         assert data["config"]["seed"] == 9  # flag beats file
         assert data["config"]["n"] == 2  # file beats defaults
         assert data["config"]["trials"] == 4
+
+    def test_scenario_file_must_be_valid_on_its_own(self, tmp_path, capsys):
+        """The file is checked before a flag overrides it: `--n 3` does not mend `"n": 1`."""
+        scenario = tmp_path / "s.json"
+        scenario.write_text(json.dumps({"n": 1}))
+        code = run_cli("run", "--scenario", str(scenario), "--n", "3", "--trials", "1")
+        assert code == 2
+        assert capsys.readouterr().err.startswith("configuration error: n:")
+
+    def test_file_value_of_the_wrong_type_gets_the_field_message(self, tmp_path, capsys):
+        scenario = tmp_path / "s.json"
+        scenario.write_text(json.dumps({"n": 2.5}))
+        assert run_cli("run", "--scenario", str(scenario)) == 2
+        assert capsys.readouterr().err == (
+            "configuration error: n: participants must be an integer >= 2, got 2.5\n"
+        )
+
+    def test_check_fraction_flag_is_echoed_as_a_float(self, tmp_path, capsys):
+        out = tmp_path / "r.json"
+        assert run_cli(
+            "run", "--check", "improved", "--check-fraction", "1", "--n", "2", "--m", "2",
+            "--d", "1", "--trials", "3", "--out", str(out),
+        ) == 0
+        assert '"check_fraction": 1.0,' in out.read_text()
 
     def test_unknown_scenario_field(self, tmp_path, capsys):
         scenario = tmp_path / "s.json"
@@ -273,6 +315,18 @@ class TestSweep:
         )
         assert code == 2
         assert "participants" in capsys.readouterr().err
+
+    def test_check_fraction_axis_echoes_floats(self, tmp_path, capsys):
+        out = tmp_path / "sweep.csv"
+        assert run_cli(
+            "sweep", "--axis", "check_fraction", "--values", "0.25,1", "--check", "improved",
+            "--n", "2", "--m", "4", "--d", "1", "--trials", "3", "--out", str(out),
+        ) == 0
+        with open(out, encoding="utf-8", newline="") as handle:
+            echoed = [json.loads(row["config"])["check_fraction"] for row in csv.DictReader(handle)]
+        assert echoed == [0.25, 1.0]
+        assert all(type(value) is float for value in echoed)
+        assert "check_fraction=1.0 attack=none" in capsys.readouterr().out
 
     def test_bad_later_value_runs_no_row(self, tmp_path, capsys, monkeypatch):
         """Every swept config is checked before the first trial runs."""

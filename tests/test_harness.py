@@ -5,6 +5,7 @@ import hashlib
 import inspect
 import json
 import math
+import os
 import threading
 from fractions import Fraction
 
@@ -365,6 +366,29 @@ class TestReportFiles:
         with pytest.raises(ReportWriteError):
             harness.write_csv([report], missing_dir.with_suffix(".csv"))
         assert list(tmp_path.iterdir()) == []
+
+    def test_existing_partial_file_survives_both_outcomes(self, tmp_path):
+        """The scratch file is a fresh name: a file called `<target>.partial` is not ours."""
+        report = self._report()
+        target = tmp_path / "report.json"
+        bystander = tmp_path / "report.json.partial"
+        bystander.write_text("keep")
+        harness.write_report(report, target)
+        assert harness.read_report(target) == report
+        target.unlink()
+        target.mkdir()  # a directory cannot be replaced by a file
+        with pytest.raises(ReportWriteError):
+            harness.write_report(report, target)
+        assert bystander.read_text() == "keep"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["report.json", "report.json.partial"]
+
+    def test_report_mode_is_that_of_a_plain_open(self, tmp_path):
+        """0o666 minus the umask, as `open(..., "w")` gives, not mkstemp's 0o600."""
+        plain, report = tmp_path / "plain", tmp_path / "report.json"
+        with open(plain, "w", encoding="utf-8"):
+            pass
+        harness.write_report(self._report(), report)
+        assert os.stat(report).st_mode == os.stat(plain).st_mode
 
     def test_rewrite_is_byte_identical(self, tmp_path):
         config = ScenarioConfig(n=5, m=16, d=8, attack="collusion", trials=25, seed=9)

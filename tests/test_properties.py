@@ -10,13 +10,13 @@ from qsschain import harness
 from qsschain.config import (
     ATTACK_KINDS,
     CHECK_KINDS,
+    INTEGER_FIELDS,
     ConfigError,
     ScenarioConfig,
     config_from_dict,
 )
 from qsschain.harness import RunReport
 
-INTEGER_FIELDS = ("n", "m", "d", "trials", "seed")
 FLOAT_COLUMNS = (
     "detection_rate", "ci_low", "ci_high",
     "secret_recovery_rate", "per_decoy_error_rate", "exact_detection",

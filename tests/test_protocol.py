@@ -450,7 +450,7 @@ class TestRunDistribution:
         ],
     )
     def test_invalid_config_rejected(self, changes, field):
-        config = ScenarioConfig(trials=3).replace(**changes)
+        """A ScenarioConfig checks itself as it is built, so no run sees a bad one."""
         with pytest.raises(ConfigError) as caught:
-            protocol.run_distribution(config, np.random.default_rng(0))
+            ScenarioConfig(trials=3).replace(**changes)
         assert caught.value.field == field
