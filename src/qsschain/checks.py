@@ -80,35 +80,6 @@ def parity_rule_table() -> CheckResult:
     return CheckResult("parity rule table", 32, failures)
 
 
-def honest_correctness_sweep() -> CheckResult:
-    """Seeded honest runs: no detection, secret equals the key XOR, algebras agree.
-
-    The secret is checked with `key_total`, apart from the run's own
-    bookkeeping, so this tests the flow of the one run both algebras play.
-    """
-    failures = []
-    cases = 0
-    grid = list(itertools.product((2, 3, 4), (1, 5), ("original", "improved")))
-    for index, (n, m, check) in enumerate(itertools.chain.from_iterable([grid] * 5)):
-        cases += 1
-        config = ScenarioConfig(n=n, m=m, d=2, check=check, trials=1, seed=90000 + index)
-        rng = harness.trial_generator(config.seed, 0)
-        transcript = protocol.run_distribution(config, rng)
-        tag = f"n={n} m={m} check={check} seed={config.seed}"
-        if transcript.detected:
-            failures.append(f"{tag}: honest run flagged as detected")
-            continue
-        expected = []
-        for position in transcript.payload_positions:
-            expected.extend(protocol.key_total(transcript.participant_keys, position))
-        if transcript.extracted_secret != expected:
-            failures.append(f"{tag}: extracted secret is not the key XOR")
-        dense = protocol.run_distribution_dense(config, harness.trial_generator(config.seed, 0))
-        if transcript.readout != dense.readout:
-            failures.append(f"{tag}: label fast path disagrees with state readout")
-    return CheckResult("honest correctness sweep", cases, failures)
-
-
 def collusion_exactness() -> CheckResult:
     """68 cases: the collusion leaves no trace (`adversary.collusion_failures`)."""
     return CheckResult("collusion exactness", 68, adversary.collusion_failures())
@@ -211,20 +182,39 @@ def label_rule_table() -> CheckResult:
 DIFFERENTIAL_TRIALS = 140
 
 
+def _claim_failures(transcript: protocol.Transcript) -> list[str]:
+    """An honest or collusion run is not detected and the dealer reads the key XOR.
+
+    The expected secret is built with `key_total`, apart from the run's
+    own bookkeeping; under collusion the colluders must read it too.
+    """
+    expected = []
+    for position in transcript.payload_positions:
+        expected.extend(protocol.key_total(transcript.participant_keys, position))
+    failures = ["run flagged as detected"] if transcript.detected else []
+    if transcript.extracted_secret != expected:
+        failures.append("extracted secret is not the key XOR")
+    if transcript.config.attack == "collusion" and transcript.attacker_secret != expected:
+        failures.append("colluders' secret is not the key XOR")
+    return failures
+
+
 def differential_sweep() -> CheckResult:
     """Seeded trials on both register algebras: equal transcripts and generator states.
 
     Both entry points play the same run, so this certifies the label rules
     against the state vectors along real runs, including the label
     algebra's shortcut for intact decoys; the run draws every uniform
-    itself, so equal generator states follow by construction. Covers
-    attack x check x d x check_fraction x (n, m): 72 scenarios of
-    DIFFERENTIAL_TRIALS trials each, 10,080 trials in all.
+    itself, so equal generator states follow by construction. Every honest
+    and collusion trial must also meet the paper's claims (`_claim_failures`).
+    Covers attack x check x d x check_fraction x (n, m), where (4, 2) has a
+    composite of two middle keys: 72 scenarios of DIFFERENTIAL_TRIALS
+    trials each, 10,080 trials in all.
     """
     failures = []
     cases = 0
     grid = itertools.product(
-        ATTACK_KINDS, CHECK_KINDS, (0, 1, 3), (0.25, 1.0), ((2, 1), (3, 3))
+        ATTACK_KINDS, CHECK_KINDS, (0, 1, 3), (0.25, 1.0), ((2, 1), (4, 2))
     )
     for index, (attack, check, d, fraction, (n, m)) in enumerate(grid):
         config = ScenarioConfig(
@@ -242,6 +232,8 @@ def differential_sweep() -> CheckResult:
                 failures.append(f"{tag}: transcripts differ")
             elif fast_rng.bit_generator.state != dense_rng.bit_generator.state:
                 failures.append(f"{tag}: generator states differ")
+            if attack != "intercept_resend":
+                failures.extend(f"{tag}: {failure}" for failure in _claim_failures(fast))
     return CheckResult("differential sweep", cases, failures)
 
 
@@ -250,7 +242,6 @@ def run_all() -> list[CheckResult]:
         pauli_bell_label_table(),
         parity_rule_table(),
         composition_law_table(),
-        honest_correctness_sweep(),
         label_rule_table(),
         collusion_exactness(),
         differential_sweep(),

@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from pathlib import Path
 from typing import Optional
 
 from . import checks, harness
@@ -48,10 +49,10 @@ def _load_scenario_file(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as handle:
             data = json.load(handle)
-    except (OSError, UnicodeDecodeError) as err:
-        raise ConfigError("scenario", f"cannot read {path}: {err}") from err
     except json.JSONDecodeError as err:
         raise ConfigError("scenario", f"{path} is not valid JSON: {err}") from err
+    except (OSError, ValueError) as err:  # ValueError: bytes not UTF-8, an over-long integer
+        raise ConfigError("scenario", f"cannot read {path}: {err}") from err
     if not isinstance(data, dict):
         raise ConfigError("scenario", f"{path} must contain a JSON object")
     return data
@@ -64,8 +65,8 @@ def _resolve_config(args: argparse.Namespace) -> ScenarioConfig:
     config = config_from_dict(data).replace(**overrides)
     if args.threads < 1:  # argparse has already refused a non-integer
         raise ConfigError("threads", f"must be an integer >= 1, got {args.threads}")
-    if args.out == "":
-        raise ConfigError("out", "must be a file path, got ''")
+    if args.out is not None and (not Path(args.out).name or Path(args.out).is_dir()):
+        raise ConfigError("out", f"must be a file path, got {args.out!r}")
     return config
 
 

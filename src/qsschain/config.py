@@ -75,9 +75,8 @@ class ScenarioConfig:
             raise ConfigError(
                 "check", f"must be one of {', '.join(CHECK_KINDS)}, got {self.check!r}"
             )
-        if not isinstance(self.check_fraction, (int, float)) or not (
-            0.0 < float(self.check_fraction) <= 1.0
-        ):
+        # an int compares with 0 and 1 exactly, and one too large for a float cannot overflow
+        if not isinstance(self.check_fraction, (int, float)) or not 0 < self.check_fraction <= 1:
             raise ConfigError(
                 "check_fraction",
                 f"sampled fraction must lie in (0, 1], got {self.check_fraction!r}",
@@ -104,7 +103,7 @@ def config_from_dict(data: dict[str, Any]) -> ScenarioConfig:
 
     Unknown fields raise ConfigError naming the field. JSON has one number
     type, so an integral float becomes an integer field's int and an int
-    becomes `check_fraction`'s float; `ScenarioConfig` checks the rest.
+    in range becomes `check_fraction`'s float; `ScenarioConfig` checks the rest.
     """
     clean: dict[str, Any] = {}
     for key, value in data.items():
@@ -112,7 +111,7 @@ def config_from_dict(data: dict[str, Any]) -> ScenarioConfig:
             raise ConfigError(key, "unknown scenario field")
         if key in INTEGER_FIELDS and isinstance(value, float) and value.is_integer():
             value = int(value)
-        elif key == "check_fraction" and type(value) is int:  # a bool stays a bool
-            value = float(value)
+        elif key == "check_fraction" and type(value) is int and 0 < value <= 1:
+            value = float(value)  # a bool stays a bool; an int out of range is refused as it is
         clean[key] = value
     return ScenarioConfig(**clean)

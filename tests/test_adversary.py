@@ -96,6 +96,17 @@ class TestBrokenCollusionRule:
             assert genuine != [PauliKey(0, 0)] * config.m
             assert transcript.recovered_composites == [PauliKey(0, 0)] * config.m
 
+    def test_the_replay_checks_the_dealers_secret(self, monkeypatch):
+        """Both algebras play the same wrong rule, so only the claim check sees it."""
+        monkeypatch.setattr(checks, "DIFFERENTIAL_TRIALS", 2)
+        result = checks.differential_sweep()
+        assert result.failures
+        assert all(f.startswith("collusion/") for f in result.failures)
+        assert any(
+            " n=4 m=2 " in f and f.endswith(": extracted secret is not the key XOR")
+            for f in result.failures
+        )
+
     def test_verify_fails_the_collusion_suite(self, capsys, monkeypatch):
         monkeypatch.setattr(checks, "DIFFERENTIAL_TRIALS", 1)
         code = cli.main(["verify"])

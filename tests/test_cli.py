@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from qsschain import checks, cli, harness, labels, protocol
-from qsschain.config import ScenarioConfig
+from qsschain.config import ConfigError, ScenarioConfig
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -146,6 +146,27 @@ class TestEmptyOut:
         assert list(tmp_path.iterdir()) == []
 
 
+class TestDirectoryOut:
+    """An `--out` that names no file is refused before any trial runs."""
+
+    @pytest.mark.parametrize(
+        "command", [("run",), ("sweep", "--axis", "d", "--values", "1")]
+    )
+    @pytest.mark.parametrize("out", [".", "/", "existing"])
+    def test_directory_out_runs_no_trial(self, command, out, tmp_path, monkeypatch, capsys):
+        calls = []
+        monkeypatch.setattr(harness, "run_trials", lambda *a, **k: calls.append(a))
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "existing").mkdir()
+        code = run_cli(*command, "--trials", "3", "--out", out)
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"configuration error: out: must be a file path, got {out!r}\n"
+        )
+        assert calls == []
+        assert [p.name for p in tmp_path.iterdir()] == ["existing"]
+
+
 class TestScenarioResolution:
     @pytest.mark.parametrize(
         "flags,named",
@@ -232,6 +253,27 @@ class TestScenarioResolution:
         err = capsys.readouterr().err
         assert code == 2
         assert err.startswith("configuration error: scenario:")
+
+    def test_oversized_check_fraction_names_its_field(self, tmp_path, capsys):
+        """An integer too large for a float is compared exactly, not converted."""
+        scenario = tmp_path / "s.json"
+        scenario.write_text('{"check_fraction": 1' + "0" * 400 + "}")
+        assert run_cli("run", "--scenario", str(scenario), "--trials", "1") == 2
+        assert capsys.readouterr().err.startswith(
+            "configuration error: check_fraction: sampled fraction must lie in (0, 1], got 1000"
+        )
+        with pytest.raises(ConfigError) as caught:
+            ScenarioConfig(check_fraction=10**400)
+        assert caught.value.field == "check_fraction"
+
+    def test_over_long_integer_in_scenario_file(self, tmp_path, capsys):
+        """`json.load` refuses an integer of over 4300 digits with a plain ValueError."""
+        scenario = tmp_path / "s.json"
+        scenario.write_text('{"seed": 1' + "0" * 5000 + "}")
+        assert run_cli("run", "--scenario", str(scenario), "--trials", "1") == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"configuration error: scenario: cannot read {scenario}: ")
+        assert "4300 digits" in err
 
     def test_scenario_seed_holds_without_the_flag(self, tmp_path, monkeypatch, capsys):
         """Without `--seed` the scenario file's seed is used, whatever the environment."""
@@ -351,11 +393,9 @@ class TestVerify:
         assert "pauli/bell label table" in out
         assert "parity rule table" in out
         assert "pauli composition law" in out
-        assert "honest correctness sweep" in out
         assert " 16 cases" in out
         assert " 32 cases" in out
         assert " 64 cases" in out
-        assert " 60 runs" in out
         assert "10080 runs  ok" in out
 
     def test_broken_parity_rule_is_reported(self, capsys, monkeypatch):

@@ -128,3 +128,20 @@ def test_differential_sweep_sees_a_wrong_bell_rule_on_products(monkeypatch):
     result = checks.differential_sweep()
     assert result.cases == 72
     assert result.failures
+
+
+def test_differential_sweep_checks_the_honest_secret(monkeypatch):
+    """A wrong secret-bit rule leaves both algebras equal; the key-XOR check fails it."""
+    monkeypatch.setattr(checks, "DIFFERENTIAL_TRIALS", 2)
+
+    def swapped(totals):
+        return [bit for total in totals for bit in (total & 1, total >> 1)]
+
+    monkeypatch.setattr(protocol, "secret_bits", swapped)
+    result = checks.differential_sweep()
+    assert not any("differ" in f for f in result.failures)
+    assert any(
+        f.startswith("none/") and f.endswith(": extracted secret is not the key XOR")
+        for f in result.failures
+    )
+
