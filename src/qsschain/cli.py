@@ -65,8 +65,12 @@ def _resolve_config(args: argparse.Namespace) -> ScenarioConfig:
     config = config_from_dict(data).replace(**overrides)
     if args.threads < 1:  # argparse has already refused a non-integer
         raise ConfigError("threads", f"must be an integer >= 1, got {args.threads}")
-    if args.out is not None and (not Path(args.out).name or Path(args.out).is_dir()):
-        raise ConfigError("out", f"must be a file path, got {args.out!r}")
+    if args.out is not None:
+        out = Path(args.out)
+        if not out.name or out.is_dir():
+            raise ConfigError("out", f"must be a file path, got {args.out!r}")
+        if not out.parent.is_dir():
+            raise ConfigError("out", f"no directory {str(out.parent)!r} to write into")
     return config
 
 

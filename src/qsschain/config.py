@@ -26,6 +26,14 @@ class ConfigError(ValueError):
         self.field = field
 
 
+def _shown(value: Any) -> str:
+    """`repr(value)`, or the size of an int too long to convert to decimal (over 4300 digits)."""
+    try:
+        return repr(value)
+    except ValueError:
+        return f"{'a negative' if value < 0 else 'an'} integer of {value.bit_length()} bits"
+
+
 @dataclass(frozen=True)
 class ScenarioConfig:
     """One simulated scenario.
@@ -41,7 +49,7 @@ class ScenarioConfig:
         check_fraction: fraction of pairs sampled by the improved check,
             in (0, 1]; used only when check="improved".
         trials: Monte Carlo repetitions.
-        seed: 64-bit master seed; per-trial streams are derived from it.
+        seed: 64-bit master seed; it keys every trial's Philox stream.
     """
 
     n: int = 3
@@ -60,32 +68,32 @@ class ScenarioConfig:
         """Raise ConfigError naming the offending field if any value is invalid."""
         for name in (*INTEGER_FIELDS, "check_fraction"):
             if isinstance(getattr(self, name), bool):  # bool is an int subclass
-                raise ConfigError(name, f"must be a number, got {getattr(self, name)!r}")
+                raise ConfigError(name, f"must be a number, got {_shown(getattr(self, name))}")
         if not isinstance(self.n, int) or self.n < 2:
-            raise ConfigError("n", f"participants must be an integer >= 2, got {self.n!r}")
+            raise ConfigError("n", f"participants must be an integer >= 2, got {_shown(self.n)}")
         if not isinstance(self.m, int) or self.m < 1:
-            raise ConfigError("m", f"pair count must be an integer >= 1, got {self.m!r}")
+            raise ConfigError("m", f"pair count must be an integer >= 1, got {_shown(self.m)}")
         if not isinstance(self.d, int) or self.d < 0:
-            raise ConfigError("d", f"decoy count must be an integer >= 0, got {self.d!r}")
+            raise ConfigError("d", f"decoy count must be an integer >= 0, got {_shown(self.d)}")
         if self.attack not in ATTACK_KINDS:
             raise ConfigError(
-                "attack", f"must be one of {', '.join(ATTACK_KINDS)}, got {self.attack!r}"
+                "attack", f"must be one of {', '.join(ATTACK_KINDS)}, got {_shown(self.attack)}"
             )
         if self.check not in CHECK_KINDS:
             raise ConfigError(
-                "check", f"must be one of {', '.join(CHECK_KINDS)}, got {self.check!r}"
+                "check", f"must be one of {', '.join(CHECK_KINDS)}, got {_shown(self.check)}"
             )
         # an int compares with 0 and 1 exactly, and one too large for a float cannot overflow
         if not isinstance(self.check_fraction, (int, float)) or not 0 < self.check_fraction <= 1:
             raise ConfigError(
                 "check_fraction",
-                f"sampled fraction must lie in (0, 1], got {self.check_fraction!r}",
+                f"sampled fraction must lie in (0, 1], got {_shown(self.check_fraction)}",
             )
         if not isinstance(self.trials, int) or self.trials < 1:
-            raise ConfigError("trials", f"must be an integer >= 1, got {self.trials!r}")
+            raise ConfigError("trials", f"must be an integer >= 1, got {_shown(self.trials)}")
         if not isinstance(self.seed, int) or not 0 <= self.seed < _MAX_SEED:
             raise ConfigError(
-                "seed", f"must be a 64-bit non-negative integer, got {self.seed!r}"
+                "seed", f"must be a 64-bit non-negative integer, got {_shown(self.seed)}"
             )
 
     def replace(self, **changes: Any) -> "ScenarioConfig":

@@ -1,13 +1,12 @@
 """Monte Carlo harness: seeded trial batches, exact companions, reports.
 
-Every trial draws its randomness from an independent generator derived by
-mixing the master seed with the trial index through numpy's SeedSequence
-spawn mechanism: `trial_generator(seed, index)`. The derivation depends
-only on (seed, index), and the trials of a batch run one after another in
-the calling thread. `run_trials` does not build a SeedSequence and a PCG64
-per trial: it derives the PCG64 states `trial_generator` would build, for
-blocks of trials at once, and reseeds one generator with each, so every
-trial draws the bytes of `trial_generator(seed, index)`.
+Trial i of a report draws from `trial_generator(seed, i)`: the counter-based
+Philox4x64-10 generator keyed by the master seed, its counter starting at
+[0, i, 0, 0] (Salmon et al., "Parallel random numbers: as easy as 1, 2, 3",
+SC 2011). A stream is addressed by (seed, i) alone, with nothing derived
+from the seed, and the trials of a batch run one after another in the
+calling thread. `run_trials` keeps one Philox per report and sets its
+counter before each trial, which gives the words of `trial_generator`.
 """
 
 from __future__ import annotations
@@ -24,7 +23,7 @@ import os
 from fractions import Fraction
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -91,94 +90,17 @@ REPORT_COLUMNS = tuple(field.name for field in dataclasses.fields(RunReport))
 
 
 def trial_generator(seed: int, trial: int) -> np.random.Generator:
-    """Independent, scheduling-invariant RNG stream for one trial."""
-    sequence = np.random.SeedSequence(entropy=seed, spawn_key=(trial,))
-    return np.random.Generator(np.random.PCG64(sequence))
+    """Independent, scheduling-invariant RNG stream for one trial (see the module docstring)."""
+    # a uint64 array, since a list would wrap trial 2**64 - 1 to counter 0
+    counter = np.array([0, trial, 0, 0], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=seed, counter=counter))
 
 
-# numpy's SeedSequence (pool of 4 uint32 words) and PCG64 seeding constants
-_MASK32 = 0xFFFFFFFF
-_MIX_LEFT, _MIX_RIGHT = 0xCA01F9DD, 0x4973F715
-_PCG64_MULTIPLIER = 0x2360ED051FC65DA44385DF649FCCF645
-_MASK128 = (1 << 128) - 1
-
-
-def _hash_constants(init: int, multiplier: int, count: int) -> list[int]:
-    """The hash constant before each of `count` successive hashmix steps, and after the last."""
-    constants = [init]
-    for _ in range(count):
-        constants.append(constants[-1] * multiplier & _MASK32)
-    return constants
-
-
-# hashmix steps 0..15 mix the seed into the pool; steps 16..23 mix in the
-# spawn key's two 32-bit words, four steps each; generate_state takes 8 steps
-_MIX_CONSTANTS = _hash_constants(0x43B0D7E5, 0x931E8875, 24)
-_OUTPUT_CONSTANTS = _hash_constants(0x8B51F9DD, 0x58F38DED, 8)
-
-_STREAM_BLOCK = 1024  # trials whose generator states are derived together
-
-
-def _hashmix(values: np.ndarray, constants: list[int], step: int) -> np.ndarray:
-    values = (values ^ np.uint32(constants[step])) * np.uint32(constants[step + 1])
-    return values ^ values >> np.uint32(16)
-
-
-def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    result = np.uint32(_MIX_LEFT) * x - np.uint32(_MIX_RIGHT) * y
-    return result ^ result >> np.uint32(16)
-
-
-def _trial_states(seed: int, trials: np.ndarray) -> list[dict]:
-    """`trial_generator(seed, i).bit_generator.state` for each index i in `trials`.
-
-    A seed below 2**128 has at most the pool's four 32-bit words, so
-    `SeedSequence(seed).pool` is the spawned sequence's pool before its
-    spawn key is mixed in (a validated seed is below 2**64). The key
-    (i,) is one word below 2**32 and two from there on; each word is
-    hashmixed into every pool word, then `generate_state(4, uint64)` and
-    PCG64's seeding step give the state. Everything up to the 128-bit
-    step runs on uint32 arrays, whose products wrap like the C code's.
-    """
-    trials = np.asarray(trials, dtype=np.uint64)
-    pool = [np.full(trials.shape, word, np.uint32) for word in np.random.SeedSequence(seed).pool]
-    low = (trials & _MASK32).astype(np.uint32)
-    high = (trials >> np.uint64(32)).astype(np.uint32)
-    for i in range(4):
-        pool[i] = _mix(pool[i], _hashmix(low, _MIX_CONSTANTS, 16 + i))
-    for i in range(4):  # the key's second word, for indices from 2**32 on
-        mixed = _mix(pool[i], _hashmix(high, _MIX_CONSTANTS, 20 + i))
-        pool[i] = np.where(high != 0, mixed, pool[i])
-    words = [_hashmix(pool[i % 4], _OUTPUT_CONSTANTS, i).astype(np.uint64) for i in range(8)]
-    seeds = np.stack([words[2 * j] | words[2 * j + 1] << np.uint64(32) for j in range(4)], axis=1)
-    states = []
-    for state_high, state_low, sequence_high, sequence_low in seeds.tolist():
-        # pcg_setseq_128_srandom_r: odd increment; from state 0, step, add the seed, step
-        increment = ((sequence_high << 64 | sequence_low) << 1 | 1) & _MASK128
-        state = increment + (state_high << 64 | state_low)
-        state = (state * _PCG64_MULTIPLIER + increment) & _MASK128
-        states.append(
-            {
-                "bit_generator": "PCG64",
-                "state": {"state": state, "inc": increment},
-                "has_uint32": 0,
-                "uinteger": 0,
-            }
-        )
-    return states
-
-
-def _trial_streams(seed: int, trials: int) -> Iterator[np.random.Generator]:
-    """One generator, set in turn to `trial_generator(seed, i)`'s state for each i < trials.
-
-    Setting the state also clears the 32-bit half a trial left buffered.
-    """
-    rng = np.random.Generator(np.random.PCG64(0))  # its state is set before each trial
-    for start in range(0, trials, _STREAM_BLOCK):
-        block = np.arange(start, min(start + _STREAM_BLOCK, trials), dtype=np.uint64)
-        for state in _trial_states(seed, block):
-            rng.bit_generator.state = state
-            yield rng
+def stream_position(rng: np.random.Generator) -> dict:
+    """A Philox generator's state with its arrays as lists, so two positions compare with `==`."""
+    state = rng.bit_generator.state
+    words = {name: value.tolist() for name, value in state["state"].items()}
+    return dict(state, state=words, buffer=state["buffer"].tolist())
 
 
 def _binomial_ci(successes: int, trials: int) -> tuple[float, float, float]:
@@ -204,12 +126,19 @@ def run_trials(config: ScenarioConfig) -> RunReport:
     """Run the configured number of seeded trials and aggregate the outcomes.
 
     Trials run serially in the calling thread, trial i on the stream of
-    `trial_generator(config.seed, i)`; the exact companion counts
-    `protocol.sampled_pairs`.
+    `trial_generator(config.seed, i)`: one Philox serves the report, and
+    before trial i its state is set to counter [0, i, 0, 0] with an empty
+    buffer, which drops the words the last trial left. The exact companion
+    counts `protocol.sampled_pairs`.
     """
+    bit_generator = np.random.Philox(key=config.seed)
+    rng = np.random.Generator(bit_generator)
+    fresh = bit_generator.state  # counter 0 and an empty buffer
     detected = undetected_collusion = recovered = 0
     attacked_errors = attacked_hops = all_errors = all_hops = 0
-    for rng in _trial_streams(config.seed, config.trials):
+    for trial in range(config.trials):
+        fresh["state"]["counter"][1] = trial
+        bit_generator.state = fresh
         transcript = protocol.run_distribution(config, rng)
         detected += transcript.detected
         if config.attack == "collusion" and not transcript.detected:

@@ -291,9 +291,6 @@ def improved_check(
     for idx in chosen:
         basis = int(rng.integers(2))
         x_outcome, pairs[idx] = alg.collapse(pairs[idx], RETAINED_QUBIT, basis, rng.random())
-        # the keys' publication order is drawn and dropped: their XOR does not depend
-        # on it, and the draw keeps the generator schedule of intercept-resend reports
-        rng.permutation(len(keys))
         y_outcome, pairs[idx] = alg.collapse(pairs[idx], TRAVELING_QUBIT, basis, rng.random())
         total = 0
         for own in keys:

@@ -167,6 +167,28 @@ class TestDirectoryOut:
         assert [p.name for p in tmp_path.iterdir()] == ["existing"]
 
 
+class TestMissingDirectoryOut:
+    """An `--out` whose directory does not exist is refused before any trial runs."""
+
+    @pytest.mark.parametrize(
+        "command", [("run",), ("sweep", "--axis", "d", "--values", "1")]
+    )
+    @pytest.mark.parametrize("out", ["missing/r.json", "missing/deeper/r.json", "file/r.json"])
+    def test_missing_directory_runs_no_trial(self, command, out, tmp_path, monkeypatch, capsys):
+        calls = []
+        monkeypatch.setattr(harness, "run_trials", lambda *a, **k: calls.append(a))
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "file").write_text("")
+        code = run_cli(*command, "--trials", "3", "--out", out)
+        assert code == 2
+        parent = str(Path(out).parent)
+        assert capsys.readouterr().err == (
+            f"configuration error: out: no directory {parent!r} to write into\n"
+        )
+        assert calls == []
+        assert [p.name for p in tmp_path.iterdir()] == ["file"]
+
+
 class TestScenarioResolution:
     @pytest.mark.parametrize(
         "flags,named",
@@ -265,6 +287,23 @@ class TestScenarioResolution:
         with pytest.raises(ConfigError) as caught:
             ScenarioConfig(check_fraction=10**400)
         assert caught.value.field == "check_fraction"
+
+    @pytest.mark.parametrize(
+        "field,value,shown",
+        [
+            ("seed", 10**5000, "an integer of 16610 bits"),
+            ("trials", -(10**5000), "a negative integer of 16610 bits"),
+            ("check_fraction", 10**5000, "an integer of 16610 bits"),
+            ("d", -(10**5000), "a negative integer of 16610 bits"),
+        ],
+        ids=["seed", "trials", "check_fraction", "d"],
+    )
+    def test_over_long_integer_from_python_names_its_field(self, field, value, shown):
+        """An int past the 4300-digit conversion limit is described by its size, not printed."""
+        with pytest.raises(ConfigError) as caught:
+            ScenarioConfig(**{field: value})
+        assert caught.value.field == field
+        assert str(caught.value).endswith(f", got {shown}")
 
     def test_over_long_integer_in_scenario_file(self, tmp_path, capsys):
         """`json.load` refuses an integer of over 4300 digits with a plain ValueError."""

@@ -9,6 +9,7 @@ import os
 import threading
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from qsschain import harness, labels, protocol
@@ -31,6 +32,20 @@ class TestTrialGenerator:
         a = harness.trial_generator(1, 0)
         b = harness.trial_generator(2, 0)
         assert a.integers(0, 2**31, size=16).tolist() != b.integers(0, 2**31, size=16).tolist()
+
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1])
+    @pytest.mark.parametrize("trial", [0, 1, 2**32, 2**63, 2**64 - 1])
+    def test_stream_is_philox_at_the_trials_counter(self, seed, trial):
+        """Trial i's words are Philox4x64-10's, keyed by the seed, from counter [0, i, 0, 0]."""
+        counter = np.array([0, trial, 0, 0], dtype=np.uint64)
+        expected = np.random.Philox(key=seed, counter=counter).random_raw(8).tolist()
+        assert harness.trial_generator(seed, trial).bit_generator.random_raw(8).tolist() == expected
+
+    def test_last_trial_does_not_wrap_to_the_first(self):
+        """Counter word 1 holds every 64-bit index: trial 2**64 - 1 is not trial 0."""
+        last = harness.trial_generator(7, 2**64 - 1).bit_generator.random_raw(8).tolist()
+        first = harness.trial_generator(7, 0).bit_generator.random_raw(8).tolist()
+        assert last != first
 
 
 class TestRunTrials:
@@ -103,8 +118,8 @@ class TestRunTrials:
     @pytest.mark.parametrize(
         "config",
         [
+            # these trials end with words left in the block, the improved ones with a 32-bit half
             ScenarioConfig(n=2, m=2, d=3, attack="intercept_resend", trials=64, seed=6),
-            # 47 of these 64 trials end with a 32-bit half buffered in the generator
             ScenarioConfig(
                 n=3, m=4, d=2, attack="intercept_resend", check="improved", trials=64, seed=6
             ),
@@ -114,23 +129,29 @@ class TestRunTrials:
     def test_trials_run_in_the_calling_thread(self, config, monkeypatch):
         """Trials run serially in the calling thread, trial i on `trial_generator(seed, i)`'s stream.
 
-        The config is `run_trials`' only argument.
+        A trial can end partway through a Philox block of four words, so the
+        next one starts on its own stream only if `run_trials` empties the
+        buffer. The config is `run_trials`' only argument.
         """
-        idents, states = [], []
+        idents, starts, ends = [], [], []
         run_distribution = protocol.run_distribution
 
         def recording(config, rng):
             idents.append(threading.get_ident())
-            states.append(rng.bit_generator.state)
-            return run_distribution(config, rng)
+            starts.append(harness.stream_position(rng))
+            transcript = run_distribution(config, rng)
+            ends.append(harness.stream_position(rng))
+            return transcript
 
         monkeypatch.setattr(protocol, "run_distribution", recording)
         harness.run_trials(config)
         assert idents == [threading.get_ident()] * config.trials
-        assert states == [
-            harness.trial_generator(config.seed, i).bit_generator.state
+        assert starts == [
+            harness.stream_position(harness.trial_generator(config.seed, i))
             for i in range(config.trials)
         ]
+        # every trial leaves words or a 32-bit half buffered, which the next must not draw
+        assert all(end["buffer_pos"] < 4 or end["has_uint32"] for end in ends)
         assert list(inspect.signature(harness.run_trials).parameters) == ["config"]
 
     @pytest.mark.parametrize(
@@ -138,38 +159,38 @@ class TestRunTrials:
         [
             (
                 dict(check="improved", d=1),
-                0.675,
-                "0699b9bd7f03224149edf540497a28996b9edae535b0e96d449d03702e8670ce",
+                0.65,
+                "c07e4d3e58c3d19d841fd524ffe435a10e1819cbd386f1adc5014449d9047df2",
             ),
             (
                 dict(check="original", d=8),
-                0.875,
-                "4f2dd11c1bfb265f1149ae371efa6610e28ba4aa966242a64b4f0f0c1163a448",
+                0.85,
+                "eedccbe12819bf054d2e0a6293d22d1bcea16395b9958ab44fd08e49e3d8b3db",
             ),
             (  # every pair sampled: the payload is empty
                 dict(check="improved", d=1, check_fraction=1.0),
-                0.85,
-                "c1b865c032fbbb688e5f9ff7b0928ee65928fe55a5388f92622b483775b1fa30",
+                0.975,
+                "13dd093f5bb0a63d3a9e35496426017cd53837ecfa397d43a1a431a17f709536",
             ),
             (  # no decoys: no hop draws for its decoy check
                 dict(check="improved", d=0, n=4),
-                0.45,
-                "2b2a39017032ac20942757c6c1efd091174ca0e0290ab312cae1f429c20c4879",
+                0.625,
+                "39d6cdcec5d76d81bcfe89059333d816990f0c4d8c55cb41942351d77d14731c",
             ),
-            (  # the seed's first two-word value
+            (  # the first seed above 32 bits
                 dict(check="improved", d=1, seed=2**32),
-                0.675,
-                "baf1c28cbfab063478d8d46d915f908acec1cebc4d9bdca427b0927ac7e06b97",
+                0.7,
+                "062f3a6518e257af6b416e57a1c6225615fde8af47a94611dee24d1d4daf26f9",
             ),
             (  # the largest seed
                 dict(check="improved", d=1, seed=2**64 - 1),
-                0.675,
-                "b209968330809dccea2cead236fbd53ba473b5835a8bebf066d69ace1a44c80b",
+                0.575,
+                "4e8d4d7b5989b0fa92a1a8d58f528cc2bdf18a79af7f11cef02c55ff6ace7851",
             ),
-            (  # trials past the first block of derived streams
+            (  # a long report: 1100 counter resets on one generator
                 dict(check="original", d=1, n=2, m=2, trials=1100),
-                0.24727272727272728,
-                "3c8753ba4a0fd0f065a8049ed0fd62f159957dd22e4a85b8d1b5437866e7d06c",
+                0.22454545454545455,
+                "66d75d05192404ad9d789408f39b2d89db9d747428bde124e6851e30d82383a2",
             ),
         ],
         ids=["improved", "original-d8", "all-sampled", "n4-d0", "seed-2to32", "seed-max", "1100"],
@@ -179,8 +200,8 @@ class TestRunTrials:
 
         Every uniform the run draws can move an intercept-resend outcome, so
         these bytes change with the draw schedule, for instance if the
-        improved check stops drawing the key-publication order it discards,
-        or with the streams the trials draw from.
+        improved check draws one more word per sampled pair, or with the
+        streams the trials draw from.
         """
         config = ScenarioConfig(
             n=3, m=6, attack="intercept_resend", check_fraction=0.5, trials=40, seed=2024
@@ -189,16 +210,6 @@ class TestRunTrials:
         assert report.detection_rate == detection_rate
         text = json.dumps(report.to_dict(), sort_keys=True)
         assert hashlib.sha256(text.encode()).hexdigest() == digest
-
-
-class TestTrialStates:
-    @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1])
-    def test_states_are_those_of_trial_generator(self, seed):
-        """The derived PCG64 states, across the seed's and the index's 32-bit words."""
-        trials = [0, 1, 1023, 1024, 5000, 2**32 - 1, 2**32, 2**40 + 7]
-        assert harness._trial_states(seed, trials) == [
-            harness.trial_generator(seed, trial).bit_generator.state for trial in trials
-        ]
 
 
 class TestExactDetection:

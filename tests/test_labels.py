@@ -145,3 +145,27 @@ def test_differential_sweep_checks_the_honest_secret(monkeypatch):
         for f in result.failures
     )
 
+
+
+def test_differential_sweep_sees_a_moved_draw(monkeypatch):
+    """One extra uniform after the dense run, which often leaves the Philox counter as it was.
+
+    A block of 4 words is computed per counter step, so only a comparison
+    of the whole stream position, buffer index included, sees every such draw.
+    """
+    monkeypatch.setattr(checks, "DIFFERENTIAL_TRIALS", 2)
+    dense = protocol.run_distribution_dense
+    same_counter = []
+
+    def one_more_draw(config, rng):
+        transcript = dense(config, rng)
+        before = rng.bit_generator.state["state"]["counter"].tolist()
+        rng.random()
+        same_counter.append(rng.bit_generator.state["state"]["counter"].tolist() == before)
+        return transcript
+
+    monkeypatch.setattr(protocol, "run_distribution_dense", one_more_draw)
+    result = checks.differential_sweep()
+    assert any(same_counter)
+    assert len(result.failures) == result.cases == 144
+    assert all(f.endswith(": generator states differ") for f in result.failures)

@@ -309,14 +309,14 @@ class TestImprovedCheck:
 
 TRANSCRIPT_DIGESTS = {  # (attack, check): sha256 of 180 runs, the same on both algebras
     ("none", "original"): "883f6073164d97ebdaf9423e21f91327be2ca1ea7c8cbffe27a299e5ad4a9f77",
-    ("none", "improved"): "0e88ab74db2b1c517649d810957a389c4f4ccfd0dd31bd663d60a64627eccb41",
+    ("none", "improved"): "6d8038025379c79bcc7b3773805ed35a9ac1f89e336e31f95068b4fc62bdbae4",
     ("collusion", "original"): "2c3fb9e956d29370a211b3300568a3bb806d943ea85b76d36d60e4937ebfb054",
-    ("collusion", "improved"): "be70895a9697e4fb1bb758de6f3fd7430019a66aaaf59fa538e290a7eb2c84b0",
+    ("collusion", "improved"): "70b52bc4cec6ee0aa4b0b813d0d54a5822f0bdfd8fbdd49fa740b8bc5cca816a",
     ("intercept_resend", "original"): (
         "da0189445f945c141ab28190fff76a9fbccd9d0b1dc0a5f2c767f6a0ddd12c4b"
     ),
     ("intercept_resend", "improved"): (
-        "8811fc4b603560ac219ec4b4da788e6bb4d79c7f6166d616b46f15b4ebe06d70"
+        "014b105d5b85ab87163ba4f996e7b8c84bcc35e69833b3e5e5789df1c26085cb"
     ),
 }
 
