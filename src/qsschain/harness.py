@@ -1,12 +1,15 @@
 """Monte Carlo harness: seeded trial batches, exact companions, reports.
 
-Trial i of a report draws from `trial_generator(seed, i)`: the counter-based
-Philox4x64-10 generator keyed by the master seed, its counter starting at
-[0, i, 0, 0] (Salmon et al., "Parallel random numbers: as easy as 1, 2, 3",
-SC 2011). A stream is addressed by (seed, i) alone, with nothing derived
-from the seed, and the trials of a batch run one after another in the
-calling thread. `run_trials` keeps one Philox per report and sets its
-counter before each trial, which gives the words of `trial_generator`.
+Trial i of a report draws from the stream of `trial_generator(seed, i)`:
+the counter-based Philox4x64-10 generator keyed by the master seed, its
+counter starting at [0, i, 0, 0] (Salmon et al., "Parallel random numbers:
+as easy as 1, 2, 3", SC 2011). A stream is addressed by (seed, i) alone,
+with nothing derived from the seed, and the trials of a batch run one after
+another in the calling thread. `run_trials` takes the first
+`protocol.words_per_run(config)` words of each trial's stream from
+`philox_words`, Philox4x64-10 written out in numpy integer arithmetic over
+a block of trials, so a run or a sweep never imports `numpy.random`;
+`trial_generator` is the numpy Generator on the same stream.
 """
 
 from __future__ import annotations
@@ -34,6 +37,7 @@ __all__ = [
     "RunReport",
     "ReportWriteError",
     "trial_generator",
+    "philox_words",
     "run_trials",
     "exact_detection",
     "write_report",
@@ -45,6 +49,15 @@ __all__ = [
 _CI_Z = 1.96  # 95% two-sided normal quantile
 
 _NULLABLE_COLUMNS = ("secret_recovery_rate",)
+
+_BLOCK_WORDS = 2**16  # words per `philox_words` call at most, unless one trial needs more
+
+# Philox4x64-10: the round multipliers and the Weyl key increments of its specification
+_PHILOX_MULTIPLIERS = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
+_PHILOX_BUMPS = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
+_PHILOX_ROUNDS = 10
+_WORD = 2**64 - 1
+_HALF = 2**32 - 1
 
 
 class ReportWriteError(OSError):
@@ -96,11 +109,39 @@ def trial_generator(seed: int, trial: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=seed, counter=counter))
 
 
-def stream_position(rng: np.random.Generator) -> dict:
-    """A Philox generator's state with its arrays as lists, so two positions compare with `==`."""
-    state = rng.bit_generator.state
-    words = {name: value.tolist() for name, value in state["state"].items()}
-    return dict(state, state=words, buffer=state["buffer"].tolist())
+def _mulhilo(multiplier: int, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """High and low words of the 128-bit products multiplier * values, from 32-bit halves."""
+    high, low = multiplier >> 32, multiplier & _HALF
+    values_high, values_low = values >> 32, values & _HALF
+    cross_low, cross_high = low * values_high, high * values_low
+    carry = (low * values_low >> 32) + (cross_low & _HALF) + (cross_high & _HALF)
+    top = high * values_high + (cross_low >> 32) + (cross_high >> 32) + (carry >> 32)
+    return top, multiplier * values
+
+
+def philox_words(seed: int, first: int, trials: int, words: int) -> list[list[int]]:
+    """The first `words` words of the streams of trials first, ..., first + trials - 1.
+
+    Row k equals `trial_generator(seed, first + k).bit_generator.random_raw(words)`:
+    numpy's Philox steps its counter before each block of four words, so
+    block b of trial i is Philox4x64-10 of the counter [b + 1, i, 0, 0]
+    under the key [seed mod 2**64, seed >> 64]. numpy wraps unsigned
+    array arithmetic modulo 2**64, as the specification's words do; the
+    keys stay Python ints, masked to 64 bits.
+    """
+    blocks = -(-words // 4)
+    shape = (trials, blocks)
+    x0 = np.broadcast_to(np.arange(1, blocks + 1, dtype=np.uint64), shape)
+    x1 = np.broadcast_to(np.arange(trials, dtype=np.uint64)[:, None] + first, shape)
+    x2 = x3 = np.zeros(shape, dtype=np.uint64)
+    key0, key1 = seed & _WORD, seed >> 64
+    for _ in range(_PHILOX_ROUNDS):
+        high0, low0 = _mulhilo(_PHILOX_MULTIPLIERS[0], x0)
+        high1, low1 = _mulhilo(_PHILOX_MULTIPLIERS[1], x2)
+        x0, x1, x2, x3 = high1 ^ x1 ^ key0, low1, high0 ^ x3 ^ key1, low0
+        key0 = (key0 + _PHILOX_BUMPS[0]) & _WORD
+        key1 = (key1 + _PHILOX_BUMPS[1]) & _WORD
+    return np.stack((x0, x1, x2, x3), axis=-1).reshape(trials, 4 * blocks)[:, :words].tolist()
 
 
 def _binomial_ci(successes: int, trials: int) -> tuple[float, float, float]:
@@ -125,21 +166,24 @@ def _binomial_ci(successes: int, trials: int) -> tuple[float, float, float]:
 def run_trials(config: ScenarioConfig) -> RunReport:
     """Run the configured number of seeded trials and aggregate the outcomes.
 
-    Trials run serially in the calling thread, trial i on the stream of
-    `trial_generator(config.seed, i)`: one Philox serves the report, and
-    before trial i its state is set to counter [0, i, 0, 0] with an empty
-    buffer, which drops the words the last trial left. The exact companion
-    counts `protocol.sampled_pairs`.
+    Trials run serially in the calling thread, trial i on the first
+    `protocol.words_per_run(config)` words of the stream of
+    `trial_generator(config.seed, i)`, computed by `philox_words` for a
+    block of trials at a time. The exact companion counts
+    `protocol.sampled_pairs`.
     """
-    bit_generator = np.random.Philox(key=config.seed)
-    rng = np.random.Generator(bit_generator)
-    fresh = bit_generator.state  # counter 0 and an empty buffer
+    words = protocol.words_per_run(config)
+    block = max(1, _BLOCK_WORDS // words)
     detected = undetected_collusion = recovered = 0
     attacked_errors = attacked_hops = all_errors = all_hops = 0
-    for trial in range(config.trials):
-        fresh["state"]["counter"][1] = trial
-        bit_generator.state = fresh
-        transcript = protocol.run_distribution(config, rng)
+    transcripts = (
+        protocol.run_distribution(config, protocol.Draws(trial_words))
+        for first in range(0, config.trials, block)
+        for trial_words in philox_words(
+            config.seed, first, min(block, config.trials - first), words
+        )
+    )
+    for transcript in transcripts:
         detected += transcript.detected
         if config.attack == "collusion" and not transcript.detected:
             undetected_collusion += 1

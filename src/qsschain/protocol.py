@@ -30,8 +30,8 @@ offering `bell_pairs`, `eigenstates`, `pauli`, `collapse`,
 `collapse_qubit`, `bell_outcome` and `decoys_intact` over the integer codes
 stated in `qcore`. `run_distribution` plays it on the `labels` module and
 `run_distribution_dense` on the `qcore` module, the dense algebra of state
-vectors. The run draws every uniform and hands it to the algebra, so a
-fixed generator state gives the same transcript on either.
+vectors. The run draws every uniform and hands it to the algebra, so the
+same words give the same transcript on either.
 
 The chain is one loop over hops 0..n of whatever travels. Hop k >= 1
 applies participant k's key with `encode_key`; every hop then plans its
@@ -43,6 +43,23 @@ travel instead, and at hop n the probes are read with `read_probes`, the
 genuine particles travel again, and the last colluder applies its key
 XOR the recovered composite. `improved_check` follows the loop.
 `adversary` describes both attacks.
+
+Every draw comes from `Draws`, one trial's 64-bit words taken in order;
+each of its methods takes a fixed number of words, so a run of `config`
+takes exactly `words_per_run(config)` of them, laid out as follows:
+
+* `codes` for the (n + 1) * m prepared labels and keys, 32 codes a word;
+* at each hop 0..n: under collusion at hop n, `uniforms` for the m probe
+  readouts; for d > 0, `subset` for the d decoy slots (d words) and
+  `codes` for the d decoy states; under intercept-resend at hop n, a
+  `basis` for each of the m + d particles and then `uniforms` for them;
+  and for d > 0, `uniforms` for the d decoy measurements;
+* under the improved check, `subset` for the s = `sampled_pairs(config)`
+  sampled pairs, a `basis` for each and then two `uniforms` for each;
+* `uniforms` for the Bell readout of the m - s payload pairs.
+
+The count depends on the config alone, not on any outcome, so the words
+of a block of trials can be computed before any of them runs.
 
 The run works on integer codes throughout. Its `Transcript` holds typed
 views (`BELL_LABELS`, `KEYS`, `BASES`, each indexed by code) only of the
@@ -58,8 +75,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Optional, Sequence
-
-import numpy as np
 
 from . import adversary, labels, qcore
 from .config import ScenarioConfig
@@ -153,13 +168,64 @@ class Transcript:
     detected: bool
 
 
-def _bit_pairs(rng: np.random.Generator, count: int) -> list[int]:
-    """`count` uniform bit pairs (a, b), coded 2a + b."""
-    bits = rng.integers(0, 2, size=(count, 2))
-    return (2 * bits[:, 0] + bits[:, 1]).tolist()
+_UNIT = 2.0**-53  # the spacing of the uniforms in [0, 1) with 53-bit mantissas
+# the four 2-bit codes of each byte value, the lowest bits first
+_BYTE_CODES = tuple((b & 3, b >> 2 & 3, b >> 4 & 3, b >> 6) for b in range(256))
 
 
-def insert_decoys(seq_len: int, d: int, rng: np.random.Generator) -> tuple[list[int], list[int]]:
+def _code_words(count: int) -> int:
+    return -(-count // 32)
+
+
+class Draws:
+    """One trial's draws, taken in order from its 64-bit words.
+
+    Each method takes a fixed number of words, whatever they hold (see the
+    module docstring for a run's layout); `used` counts the words taken.
+    Taking more words than `words` holds raises IndexError.
+    """
+
+    def __init__(self, words: Sequence[int]) -> None:
+        self.words = words
+        self.used = 0
+
+    def _take(self, count: int) -> Sequence[int]:
+        start = self.used
+        self.used = end = start + count
+        if end > len(self.words):
+            raise IndexError(f"a draw needs word {end - 1}, but only {len(self.words)} are given")
+        return self.words[start:end]
+
+    def codes(self, count: int) -> list[int]:
+        """`count` uniform 2-bit codes from ceil(count / 32) words, the lowest bits first."""
+        data = b"".join([w.to_bytes(8, "little") for w in self._take(_code_words(count))])
+        return [code for byte in data for code in _BYTE_CODES[byte]][:count]
+
+    def subset(self, population: int, count: int) -> list[int]:
+        """A uniform `count`-subset of range(population), sorted, from `count` words.
+
+        Floyd's algorithm (Bentley and Floyd, "A sample of brilliance",
+        CACM 30(9), 1987): for j = population - count, ..., population - 1,
+        draw t in 0..j as (w * (j + 1)) >> 64, which each t gets from the
+        floor or the ceiling of 2**64 / (j + 1) words, and keep j if t is
+        already kept, else t.
+        """
+        chosen: set[int] = set()
+        for j, w in enumerate(self._take(count), population - count):
+            t = w * (j + 1) >> 64
+            chosen.add(j if t in chosen else t)
+        return sorted(chosen)
+
+    def basis(self) -> int:
+        """A uniform Z/X basis code, the top bit of one word."""
+        return self._take(1)[0] >> 63
+
+    def uniforms(self, count: int) -> list[float]:
+        """`count` uniforms in [0, 1), a word each, (w >> 11) * 2**-53, as numpy's `random()`."""
+        return [(w >> 11) * _UNIT for w in self._take(count)]
+
+
+def insert_decoys(seq_len: int, d: int, draws: Draws) -> tuple[list[int], list[int]]:
     """Plan a hop for a payload of seq_len: (sorted decoy slots, decoy qubit codes).
 
     The hop carries seq_len + d particles. The decoys sit at the slots and
@@ -169,11 +235,11 @@ def insert_decoys(seq_len: int, d: int, rng: np.random.Generator) -> tuple[list[
     """
     if d == 0:
         return [], []
-    slots = sorted(rng.choice(seq_len + d, size=d, replace=False).tolist())
-    return slots, _bit_pairs(rng, d)
+    slots = draws.subset(seq_len + d, d)
+    return slots, draws.codes(d)
 
 
-def verify_decoys(alg, plan: Sequence[int], arrived: Sequence, rng: np.random.Generator) -> int:
+def verify_decoys(alg, plan: Sequence[int], arrived: Sequence, draws: Draws) -> int:
     """Measure each decoy in its planned basis; return how many differ from the plan.
 
     `arrived[i]` is the register in which the decoy coded `plan[i]` reached
@@ -183,11 +249,11 @@ def verify_decoys(alg, plan: Sequence[int], arrived: Sequence, rng: np.random.Ge
     """
     if not plan:
         return 0
-    draws = rng.random(len(plan))
+    uniforms = draws.uniforms(len(plan))
     if alg.decoys_intact(plan, arrived):
         return 0
     errors = 0
-    for code, decoy, u in zip(plan, arrived, draws.tolist(), strict=True):
+    for code, decoy, u in zip(plan, arrived, uniforms, strict=True):
         outcome, _ = alg.collapse_qubit(decoy, code >> 1, u)
         errors += outcome != code & 1
     return errors
@@ -198,9 +264,7 @@ def encode_key(alg, pairs: Sequence, keys: Sequence[int]) -> list:
     return [alg.pauli(pair, key) for pair, key in zip(pairs, keys, strict=True)]
 
 
-def intercept_resend(
-    alg, slots: Sequence[int], decoys: list, pairs: list, rng: np.random.Generator
-) -> None:
+def intercept_resend(alg, slots: Sequence[int], decoys: list, pairs: list, draws: Draws) -> None:
     """Measure every particle of one hop, in slot order, in a random Z/X basis.
 
     The hop's decoys sit at their slots and the traveling qubits of `pairs`
@@ -209,11 +273,11 @@ def intercept_resend(
     resent particle would carry, so collapsing in place models the attack
     exactly.
     """
+    count = len(decoys) + len(pairs)
+    bases = [draws.basis() for _ in range(count)]
     decoy_at = {slot: i for i, slot in enumerate(slots)}
     pair_index = 0
-    for slot in range(len(decoys) + len(pairs)):
-        basis = int(rng.integers(2))
-        u = rng.random()
+    for slot, (basis, u) in enumerate(zip(bases, draws.uniforms(count))):
         if slot in decoy_at:
             i = decoy_at[slot]
             _, decoys[i] = alg.collapse_qubit(decoys[i], basis, u)
@@ -263,13 +327,26 @@ def sampled_pairs(config: ScenarioConfig) -> int:
     return math.ceil(Fraction(str(config.check_fraction)) * config.m)
 
 
+def words_per_run(config: ScenarioConfig) -> int:
+    """The number of words `Draws` gives one run of `config` (the module docstring's layout)."""
+    n, m, d = config.n, config.m, config.d
+    sampled = sampled_pairs(config)
+    # labels and keys; each hop's decoy slots, states and checks; improved check; payload
+    words = _code_words((n + 1) * m) + (n + 1) * (2 * d + _code_words(d)) + 3 * sampled + m
+    if config.attack == "collusion":
+        words += m
+    elif config.attack == "intercept_resend":
+        words += 2 * (m + d)
+    return words
+
+
 def improved_check(
     alg,
     pairs: list,
     prepared: Sequence[int],
     sampled: int,
     keys: Sequence[Sequence[int]],
-    rng: np.random.Generator,
+    draws: Draws,
 ) -> ImprovedCheckRecord:
     """Sample `sampled` pairs, collect published keys, and compare outcome parities.
 
@@ -285,13 +362,14 @@ def improved_check(
     Returns the per-position record; `passed` is True iff every sampled
     parity agrees.
     """
-    chosen = sorted(rng.choice(len(pairs), size=sampled, replace=False).tolist())
+    chosen = draws.subset(len(pairs), sampled)
+    bases = [draws.basis() for _ in chosen]
+    uniforms = iter(draws.uniforms(2 * sampled))
     entries = []
     passed = True
-    for idx in chosen:
-        basis = int(rng.integers(2))
-        x_outcome, pairs[idx] = alg.collapse(pairs[idx], RETAINED_QUBIT, basis, rng.random())
-        y_outcome, pairs[idx] = alg.collapse(pairs[idx], TRAVELING_QUBIT, basis, rng.random())
+    for idx, basis in zip(chosen, bases):
+        x_outcome, pairs[idx] = alg.collapse(pairs[idx], RETAINED_QUBIT, basis, next(uniforms))
+        y_outcome, pairs[idx] = alg.collapse(pairs[idx], TRAVELING_QUBIT, basis, next(uniforms))
         total = 0
         for own in keys:
             total ^= own[idx]
@@ -300,27 +378,35 @@ def improved_check(
     return ImprovedCheckRecord(entries, passed)
 
 
-def read_probes(alg, probes: Sequence, rng: np.random.Generator) -> list[int]:
+def read_probes(alg, probes: Sequence, draws: Draws) -> list[int]:
     """Bell-measure every collusion probe pair and return the recovered composite key codes.
 
     The last colluder does this once the probe halves have passed every
     middle participant, so each probe carries the XOR of all middle keys;
     `adversary.recover_composite` turns each outcome into that composite.
     """
-    draws = rng.random(len(probes)).tolist()
+    uniforms = draws.uniforms(len(probes))
     return [
-        adversary.recover_composite(alg.bell_outcome(probe, u)) for probe, u in zip(probes, draws)
+        adversary.recover_composite(alg.bell_outcome(probe, u))
+        for probe, u in zip(probes, uniforms, strict=True)
     ]
 
 
-def _run(alg, config: ScenarioConfig, rng: np.random.Generator) -> Transcript:
-    """Play one distribution run on the register algebra `alg` (see the module docstring)."""
+def _run(alg, config: ScenarioConfig, source) -> Transcript:
+    """Play one distribution run on the register algebra `alg` (see the module docstring).
+
+    `source` is a `Draws`, or a numpy Generator whose next
+    `words_per_run(config)` raw words the run takes.
+    """
     # checked when built; kept only because the benchmark counts one validate per trial
     config.validate()
+    if isinstance(source, Draws):
+        draws = source
+    else:
+        draws = Draws(source.bit_generator.random_raw(words_per_run(config)).tolist())
     n, m, d = config.n, config.m, config.d
-    # the prepared codes, then each participant's keys; a bounded integer draw takes
-    # the stream one element at a time, so one draw gives what n + 1 draws of m give
-    drawn = _bit_pairs(rng, (n + 1) * m)
+    # the prepared codes, then each participant's keys
+    drawn = draws.codes((n + 1) * m)
     codes = drawn[:m]
     key_codes = [drawn[m * k : m * (k + 1)] for k in range(1, n + 1)]
     collusion = config.attack == "collusion"
@@ -334,29 +420,29 @@ def _run(alg, config: ScenarioConfig, rng: np.random.Generator) -> Transcript:
         if hop:
             key = key_codes[hop - 1]
             if collusion and hop == n:  # read the probes, take back the genuine particles
-                composites = read_probes(alg, travelers, rng)
+                composites = read_probes(alg, travelers, draws)
                 travelers = relayed
                 key = applied = [own ^ composite for own, composite in zip(key, composites)]
             travelers = encode_key(alg, travelers, key)
             if collusion and hop == 1:  # relay the genuine particles; the probes travel
                 relayed = travelers
                 travelers = alg.bell_pairs([adversary.PROBE] * m)
-        slots, plan = insert_decoys(len(travelers), d, rng)
+        slots, plan = insert_decoys(len(travelers), d, draws)
         arrived = alg.eigenstates(plan)
         if hop == eve_hop:  # she measures every particle; travelers collapse in place
-            intercept_resend(alg, slots, arrived, travelers, rng)
-        errors = verify_decoys(alg, plan, arrived, rng)
+            intercept_resend(alg, slots, arrived, travelers, draws)
+        errors = verify_decoys(alg, plan, arrived, draws)
         decoy_checks.append(DecoyCheckResult(hop, errors, hop == eve_hop))
 
     improved = None
     sampled: set[int] = set()
     if config.check == "improved":
-        improved = improved_check(alg, travelers, codes, sampled_pairs(config), key_codes, rng)
+        improved = improved_check(alg, travelers, codes, sampled_pairs(config), key_codes, draws)
         sampled = set(improved.sampled_positions)
 
     payload_positions = [p for p in range(1, m + 1) if p not in sampled]
-    draws = rng.random(len(payload_positions)).tolist()
-    readout = [alg.bell_outcome(travelers[p - 1], u) for p, u in zip(payload_positions, draws)]
+    uniforms = draws.uniforms(len(payload_positions))
+    readout = [alg.bell_outcome(travelers[p - 1], u) for p, u in zip(payload_positions, uniforms)]
 
     attacker_bits = None
     if collusion:  # the pairs carry the first colluder's key and then `applied`
@@ -380,23 +466,25 @@ def _run(alg, config: ScenarioConfig, rng: np.random.Generator) -> Transcript:
     )
 
 
-def run_distribution(config: ScenarioConfig, rng: np.random.Generator) -> Transcript:
+def run_distribution(config: ScenarioConfig, source) -> Transcript:
     """Execute one full distribution run on label codes and return its transcript.
 
     The run plays the attack of `config.attack` with the closed-form rules
-    of `labels`. `run_distribution_dense` plays the same run on state
-    vectors and draws from `rng` in the same fixed order, so a fixed
-    generator state reproduces the run bit for bit on either algebra, up to
-    the threshold rounding described in the `labels` docstring.
+    of `labels`, drawing from `source`: a `Draws`, or a numpy Generator
+    whose next `words_per_run(config)` raw words it takes.
+    `run_distribution_dense` plays the same run on state vectors and takes
+    the same words in the same order, so equal words reproduce the run bit
+    for bit on either algebra, up to the threshold rounding described in
+    the `labels` docstring.
     """
-    return _run(labels, config, rng)
+    return _run(labels, config, source)
 
 
-def run_distribution_dense(config: ScenarioConfig, rng: np.random.Generator) -> Transcript:
+def run_distribution_dense(config: ScenarioConfig, source) -> Transcript:
     """Execute the same run on `qcore` state vectors: the reference for the label rules.
 
     Each pair register is a two-qubit `PureState` and each decoy a one-qubit
     one; every decoy of every hop is measured, and `qcore` samples every
     outcome from the uniform the run draws for it.
     """
-    return _run(qcore, config, rng)
+    return _run(qcore, config, source)

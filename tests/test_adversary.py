@@ -18,6 +18,11 @@ from qsschain.protocol import PauliKey
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
+def draws(rng, count=1024):
+    """A `Draws` over the next `count` raw words of the numpy generator `rng`."""
+    return protocol.Draws(rng.bit_generator.random_raw(count).tolist())
+
+
 @pytest.mark.parametrize(
     "statement, loaded, absent",
     [
@@ -142,14 +147,14 @@ class TestCollusionPieces:
 
     def test_untouched_probes_read_zero_composite(self):
         probes = qcore.bell_pairs([PROBE] * 4)
-        composites = protocol.read_probes(qcore, probes, np.random.default_rng(3))
+        composites = protocol.read_probes(qcore, probes, draws(np.random.default_rng(3)))
         assert composites == [0] * 4
 
     def test_probe_halves_accumulate_middle_keys(self):
         middle = [2, 1, 3]  # key codes of (1,0), (0,1), (1,1)
         probes = qcore.bell_pairs([PROBE] * 3)
         probes = protocol.encode_key(qcore, probes, middle)
-        assert protocol.read_probes(qcore, probes, np.random.default_rng(2)) == middle
+        assert protocol.read_probes(qcore, probes, draws(np.random.default_rng(2))) == middle
 
 
 class TestCollusionEndToEnd:
@@ -200,12 +205,12 @@ class TestCollusionEndToEnd:
 
 class TestInterceptResend:
     def test_decoy_error_rate_near_quarter(self):
-        rng = np.random.default_rng(6)
         total = 4000
-        slots, plan = protocol.insert_decoys(0, total, rng)
+        source = draws(np.random.default_rng(6), 4 * total + total // 32)
+        slots, plan = protocol.insert_decoys(0, total, source)
         arrived = qcore.eigenstates(plan)
-        protocol.intercept_resend(qcore, slots, arrived, [], rng)
-        errors = protocol.verify_decoys(qcore, plan, arrived, rng)
+        protocol.intercept_resend(qcore, slots, arrived, [], source)
+        errors = protocol.verify_decoys(qcore, plan, arrived, source)
         rate = errors / total
         assert abs(rate - 0.25) < 3 * math.sqrt(0.25 * 0.75 / total)
 
@@ -219,14 +224,14 @@ class TestInterceptResend:
                 for basis in (0, 1)  # Z, X
             )
 
-        rng = np.random.default_rng(19)
+        source = draws(np.random.default_rng(19))
         pairs = qcore.bell_pairs([0, 1, 2, 3, 1])
-        slots, plan = protocol.insert_decoys(len(pairs), 4, rng)
+        slots, plan = protocol.insert_decoys(len(pairs), 4, source)
         # a state certain in neither basis, so only a measurement makes it certain
         tilted = qcore.PureState(1, np.array([math.cos(math.pi / 8), math.sin(math.pi / 8)]))
         arrived = [tilted] * len(plan)
         assert not certain(tilted, 0)
-        protocol.intercept_resend(qcore, slots, arrived, pairs, rng)
+        protocol.intercept_resend(qcore, slots, arrived, pairs, source)
         assert all(certain(state, 0) for state in arrived)
         assert all(certain(pair, protocol.TRAVELING_QUBIT) for pair in pairs)
         assert all(certain(pair, protocol.RETAINED_QUBIT) for pair in pairs)

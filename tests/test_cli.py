@@ -2,7 +2,10 @@
 
 import csv
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -11,6 +14,7 @@ from qsschain import checks, cli, harness, labels, protocol
 from qsschain.config import ConfigError, ScenarioConfig
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+SRC = README.parent / "src"
 
 
 def run_cli(*argv):
@@ -127,6 +131,32 @@ class TestRun:
         second = capsys.readouterr().out
         assert a.read_bytes() == b.read_bytes()
         assert first == second
+
+
+def test_run_and_sweep_leave_numpy_random_unimported(tmp_path):
+    """A collusion `run` and an intercept-resend `sweep` in a fresh interpreter.
+
+    Importing `numpy.random` costs a process 12-16 ms, more than a
+    100-trial report takes, so neither command may load it.
+    """
+    report, table = str(tmp_path / "r.json"), str(tmp_path / "s.csv")
+    probe = (
+        "import sys\n"
+        "from qsschain import cli\n"
+        "codes = [\n"
+        "    cli.main(['run', '--attack', 'collusion', '--n', '5', '--m', '16', '--d', '8',\n"
+        f"              '--trials', '20', '--out', {report!r}]),\n"
+        "    cli.main(['sweep', '--attack', 'intercept_resend', '--check', 'improved',\n"
+        f"              '--trials', '20', '--axis', 'd', '--values', '0,4', '--out', {table!r}]),\n"
+        "]\n"
+        "print(codes, 'numpy.random' in sys.modules)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    done = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert done.stdout.splitlines()[-1] == "[0, 0] False"
+    assert len(harness.read_csv(table)) == 2
 
 
 class TestEmptyOut:

@@ -41,6 +41,19 @@ class TestTrialGenerator:
         expected = np.random.Philox(key=seed, counter=counter).random_raw(8).tolist()
         assert harness.trial_generator(seed, trial).bit_generator.random_raw(8).tolist() == expected
 
+    @pytest.mark.parametrize("seed", [0, 1, 2**32, 2**64 - 1])
+    @pytest.mark.parametrize("trial", [0, 1, 2**32, 2**64 - 2, 2**64 - 1])
+    def test_block_words_are_numpys_philox(self, seed, trial):
+        """`philox_words` rows equal numpy's Philox at each trial's counter, 11 words each."""
+        trials = min(2, 2**64 - trial)
+        expected = [
+            np.random.Philox(key=seed, counter=np.array([0, i, 0, 0], dtype=np.uint64))
+            .random_raw(11)
+            .tolist()
+            for i in range(trial, trial + trials)
+        ]
+        assert harness.philox_words(seed, trial, trials, 11) == expected
+
     def test_last_trial_does_not_wrap_to_the_first(self):
         """Counter word 1 holds every 64-bit index: trial 2**64 - 1 is not trial 0."""
         last = harness.trial_generator(7, 2**64 - 1).bit_generator.random_raw(8).tolist()
@@ -118,40 +131,46 @@ class TestRunTrials:
     @pytest.mark.parametrize(
         "config",
         [
-            # these trials end with words left in the block, the improved ones with a 32-bit half
             ScenarioConfig(n=2, m=2, d=3, attack="intercept_resend", trials=64, seed=6),
             ScenarioConfig(
                 n=3, m=4, d=2, attack="intercept_resend", check="improved", trials=64, seed=6
             ),
+            # 755 words a trial: 86 trials to a block, so the report spans two blocks
+            ScenarioConfig(n=16, m=64, d=16, check="improved", trials=100, seed=2**64 - 1),
         ],
-        ids=["original", "improved"],
+        ids=["original", "improved", "two-blocks"],
     )
     def test_trials_run_in_the_calling_thread(self, config, monkeypatch):
-        """Trials run serially in the calling thread, trial i on `trial_generator(seed, i)`'s stream.
+        """Trials run serially in the calling thread, trial i on the first W words of its stream.
 
-        A trial can end partway through a Philox block of four words, so the
-        next one starts on its own stream only if `run_trials` empties the
-        buffer. The config is `run_trials`' only argument.
+        W is `protocol.words_per_run(config)` and the stream is that of
+        `trial_generator(seed, i)`, which `run_trials` never calls. Every
+        trial takes all of its words. The config is `run_trials`' only argument.
         """
-        idents, starts, ends = [], [], []
-        run_distribution = protocol.run_distribution
-
-        def recording(config, rng):
-            idents.append(threading.get_ident())
-            starts.append(harness.stream_position(rng))
-            transcript = run_distribution(config, rng)
-            ends.append(harness.stream_position(rng))
-            return transcript
-
-        monkeypatch.setattr(protocol, "run_distribution", recording)
-        harness.run_trials(config)
-        assert idents == [threading.get_ident()] * config.trials
-        assert starts == [
-            harness.stream_position(harness.trial_generator(config.seed, i))
+        words = protocol.words_per_run(config)
+        expected = [
+            harness.trial_generator(config.seed, i).bit_generator.random_raw(words).tolist()
             for i in range(config.trials)
         ]
-        # every trial leaves words or a 32-bit half buffered, which the next must not draw
-        assert all(end["buffer_pos"] < 4 or end["has_uint32"] for end in ends)
+        idents, received, used = [], [], []
+        run_distribution = protocol.run_distribution
+
+        def recording(config, source):
+            idents.append(threading.get_ident())
+            received.append(list(source.words))
+            transcript = run_distribution(config, source)
+            used.append(source.used)
+            return transcript
+
+        def refuse(*args):
+            raise AssertionError("run_trials built a numpy Generator")
+
+        monkeypatch.setattr(protocol, "run_distribution", recording)
+        monkeypatch.setattr(harness, "trial_generator", refuse)
+        harness.run_trials(config)
+        assert idents == [threading.get_ident()] * config.trials
+        assert received == expected
+        assert used == [words] * config.trials
         assert list(inspect.signature(harness.run_trials).parameters) == ["config"]
 
     @pytest.mark.parametrize(
@@ -159,38 +178,38 @@ class TestRunTrials:
         [
             (
                 dict(check="improved", d=1),
-                0.65,
-                "c07e4d3e58c3d19d841fd524ffe435a10e1819cbd386f1adc5014449d9047df2",
+                0.625,
+                "72040afa80b0102c498fbb06acb07f664735fe32e95c8c2dd9133ccb5fc5fefa",
             ),
             (
                 dict(check="original", d=8),
-                0.85,
-                "eedccbe12819bf054d2e0a6293d22d1bcea16395b9958ab44fd08e49e3d8b3db",
+                0.925,
+                "46a1fb03a185eec87a95a8e7e63b964bc76c39bb7b54e61619879689f26f4546",
             ),
             (  # every pair sampled: the payload is empty
                 dict(check="improved", d=1, check_fraction=1.0),
-                0.975,
-                "13dd093f5bb0a63d3a9e35496426017cd53837ecfa397d43a1a431a17f709536",
+                0.85,
+                "32717ee037cdfe868e333702b76304b26b024e595f0023f7f1389effb7476564",
             ),
             (  # no decoys: no hop draws for its decoy check
                 dict(check="improved", d=0, n=4),
-                0.625,
-                "39d6cdcec5d76d81bcfe89059333d816990f0c4d8c55cb41942351d77d14731c",
+                0.6,
+                "c7dd952ff2dd0567358f3b229d3ca7b5362f330f5124247526faa19375e8c468",
             ),
             (  # the first seed above 32 bits
                 dict(check="improved", d=1, seed=2**32),
-                0.7,
-                "062f3a6518e257af6b416e57a1c6225615fde8af47a94611dee24d1d4daf26f9",
+                0.6,
+                "4493df3ad72effd5a38e015117cfedbe29f6437e7d22bf8f7a2ddfd4a19f6a1e",
             ),
             (  # the largest seed
                 dict(check="improved", d=1, seed=2**64 - 1),
-                0.575,
-                "4e8d4d7b5989b0fa92a1a8d58f528cc2bdf18a79af7f11cef02c55ff6ace7851",
+                0.55,
+                "8910eca6f58c86a15d8a05148b3b61fa7f2cdb4304988680be7c0bb8846c7145",
             ),
-            (  # a long report: 1100 counter resets on one generator
+            (  # a long report: 1100 trials
                 dict(check="original", d=1, n=2, m=2, trials=1100),
-                0.22454545454545455,
-                "66d75d05192404ad9d789408f39b2d89db9d747428bde124e6851e30d82383a2",
+                0.2309090909090909,
+                "b38f37dae23d75d40acb75a8b8a12a965af1eb0afc6b1ebf680e1f4439163a40",
             ),
         ],
         ids=["improved", "original-d8", "all-sampled", "n4-d0", "seed-2to32", "seed-max", "1100"],

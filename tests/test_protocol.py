@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+import collections
 import itertools
 import math
 
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 from qsschain import labels, protocol, qcore
-from qsschain.config import ATTACK_KINDS, ConfigError, ScenarioConfig
+from qsschain.config import ATTACK_KINDS, CHECK_KINDS, ConfigError, ScenarioConfig
 from qsschain.protocol import (
     BASES, BELL_LABELS, KEYS, TRAVELING_QUBIT, Basis, BellLabel, ParticipantKey, PauliKey
 )
@@ -21,6 +22,11 @@ ALGEBRAS = [pytest.param(labels, id="labels"), pytest.param(qcore, id="dense")]
 
 def key_codes(keys):
     return [2 * u + v for u, v in keys]
+
+
+def draws(rng, count=1024):
+    """A `Draws` over the next `count` raw words of the numpy generator `rng`."""
+    return protocol.Draws(rng.bit_generator.random_raw(count).tolist())
 
 
 def eigen(basis, value):
@@ -56,13 +62,13 @@ class TestPrepare:
 class TestDecoyPlanning:
     @pytest.mark.parametrize("seq_len,d", [(0, 1), (5, 0), (5, 3), (1, 8)])
     def test_layout_shape(self, seq_len, d):
-        slots, plan = protocol.insert_decoys(seq_len, d, np.random.default_rng(2))
+        slots, plan = protocol.insert_decoys(seq_len, d, draws(np.random.default_rng(2)))
         assert len(slots) == len(plan) == d
         assert slots == sorted(set(slots))
         assert all(0 <= slot < seq_len + d for slot in slots)
 
     def test_preparations_cover_all_four_states(self):
-        _, plan = protocol.insert_decoys(0, 400, np.random.default_rng(3))
+        _, plan = protocol.insert_decoys(0, 400, draws(np.random.default_rng(3)))
         decoys = qcore.eigenstates(plan)
         seen = set()
         for code, decoy in zip(plan, decoys):
@@ -73,40 +79,40 @@ class TestDecoyPlanning:
         assert seen == {(b, v) for b in (Basis.Z, Basis.X) for v in (0, 1)}
 
     def test_seed_reproduces_plan(self):
-        first = protocol.insert_decoys(6, 5, np.random.default_rng(42))
-        second = protocol.insert_decoys(6, 5, np.random.default_rng(42))
+        first = protocol.insert_decoys(6, 5, draws(np.random.default_rng(42)))
+        second = protocol.insert_decoys(6, 5, draws(np.random.default_rng(42)))
         assert first == second
 
 
 @pytest.mark.parametrize("alg", ALGEBRAS)
 class TestDecoyVerification:
     def test_untampered_decoys_verify_clean(self, alg):
-        rng = np.random.default_rng(6)
-        _, plan = protocol.insert_decoys(4, 16, rng)
-        assert protocol.verify_decoys(alg, plan, alg.eigenstates(plan), rng) == 0
+        source = draws(np.random.default_rng(6))
+        _, plan = protocol.insert_decoys(4, 16, source)
+        assert protocol.verify_decoys(alg, plan, alg.eigenstates(plan), source) == 0
 
     def test_tampered_decoy_is_caught(self, alg):
-        rng = np.random.default_rng(7)
-        _, plan = protocol.insert_decoys(0, 1, rng)
+        source = draws(np.random.default_rng(7))
+        _, plan = protocol.insert_decoys(0, 1, source)
         # the decoy arrives in the orthogonal state of its preparation basis
         arrived = alg.eigenstates([plan[0] ^ 1])
-        assert protocol.verify_decoys(alg, plan, arrived, rng) == 1
+        assert protocol.verify_decoys(alg, plan, arrived, source) == 1
 
     def test_error_count_counts_each_flipped_decoy(self, alg):
-        rng = np.random.default_rng(8)
-        _, plan = protocol.insert_decoys(3, 8, rng)
+        source = draws(np.random.default_rng(8))
+        _, plan = protocol.insert_decoys(3, 8, source)
         flipped = (0, 2, 5)
         arrived = alg.eigenstates([code ^ (i in flipped) for i, code in enumerate(plan)])
-        assert protocol.verify_decoys(alg, plan, arrived, rng) == len(flipped)
+        assert protocol.verify_decoys(alg, plan, arrived, source) == len(flipped)
 
     def test_no_decoys_passes(self, alg):
-        assert protocol.verify_decoys(alg, [], [], np.random.default_rng(0)) == 0
+        assert protocol.verify_decoys(alg, [], [], draws(np.random.default_rng(0))) == 0
 
     def test_arrived_count_must_match(self, alg):
-        rng = np.random.default_rng(9)
-        _, plan = protocol.insert_decoys(1, 2, rng)
+        source = draws(np.random.default_rng(9))
+        _, plan = protocol.insert_decoys(1, 2, source)
         with pytest.raises(ValueError):
-            protocol.verify_decoys(alg, plan, alg.eigenstates(plan)[:1], rng)
+            protocol.verify_decoys(alg, plan, alg.eigenstates(plan)[:1], source)
 
 
 class TestEncodeKey:
@@ -231,7 +237,7 @@ class TestImprovedCheck:
         for seed in range(25):
             rng = np.random.default_rng(seed)
             pairs, prepared, keys = self._setup(8, 3, rng)
-            result = protocol.improved_check(qcore, pairs, prepared, 4, keys, rng)
+            result = protocol.improved_check(qcore, pairs, prepared, 4, keys, draws(rng))
             assert result.passed
             assert len(result.entries) == 4
             for entry in result.entries:
@@ -246,13 +252,13 @@ class TestImprovedCheck:
         assert protocol.sampled_pairs(config.replace(check="original")) == 0
         rng = np.random.default_rng(13)
         pairs, prepared, keys = self._setup(m, 2, rng)
-        result = protocol.improved_check(qcore, pairs, prepared, expected, keys, rng)
+        result = protocol.improved_check(qcore, pairs, prepared, expected, keys, draws(rng))
         assert len(result.entries) == expected
 
     def test_sampled_pairs_are_consumed(self):
         rng = np.random.default_rng(15)
         pairs, prepared, keys = self._setup(4, 2, rng)
-        result = protocol.improved_check(qcore, pairs, prepared, 4, keys, rng)
+        result = protocol.improved_check(qcore, pairs, prepared, 4, keys, draws(rng))
         assert sorted(result.sampled_positions) == [1, 2, 3, 4]
         for entry in result.entries:
             measured = np.kron(
@@ -286,7 +292,7 @@ class TestImprovedCheck:
                     eigen(Basis.Z, 0).amplitudes,
                 ),
             )
-            result = protocol.improved_check(qcore, pairs, prepared, 1, keys, rng)
+            result = protocol.improved_check(qcore, pairs, prepared, 1, keys, draws(rng))
             mismatches += 0 if result.passed else 1
         rate = mismatches / trials
         assert abs(rate - 0.5) < 3 * math.sqrt(0.25 / trials)
@@ -301,22 +307,88 @@ class TestImprovedCheck:
                 1, 2, np.random.default_rng(int(rng.integers(2**32)))
             )
             _, pairs[0] = qcore.collapse(pairs[0], TRAVELING_QUBIT, labels.Z, rng.random())
-            result = protocol.improved_check(qcore, pairs, prepared, 1, keys, rng)
+            result = protocol.improved_check(qcore, pairs, prepared, 1, keys, draws(rng))
             mismatches += 0 if result.passed else 1
         rate = mismatches / trials
         assert abs(rate - 0.25) < 3 * math.sqrt(0.25 * 0.75 / trials)
 
 
+class TestDraws:
+    """The draw rules, exactly, and the words a run takes."""
+
+    WORDS = (0, 1, 2**11, 2**64 - 1)
+
+    @pytest.mark.parametrize("population", range(7))
+    def test_subset_is_exactly_uniform(self, population):
+        """Every k-subset comes out k! times over the lowest word of each multiply-shift bucket.
+
+        Member j takes t = (w * (j + 1)) >> 64, so w = ceil(t * 2**64 / (j + 1))
+        is the lowest word giving t; every combination of one t per member
+        runs once.
+        """
+        for count in range(population + 1):
+            members = range(population - count, population)
+            buckets = [[-(-t * 2**64 // (j + 1)) for t in range(j + 1)] for j in members]
+            seen = collections.Counter()
+            for words in itertools.product(*buckets):
+                chosen = protocol.Draws(list(words)).subset(population, count)
+                assert chosen == sorted(set(chosen)) and len(chosen) == count
+                assert all(0 <= member < population for member in chosen)
+                seen[tuple(chosen)] += 1
+            assert sorted(seen) == list(itertools.combinations(range(population), count))
+            assert set(seen.values()) == {math.factorial(count)}
+
+    def test_codes_basis_and_uniforms_are_pinned(self):
+        """Codes take 2 bits at a time from the bottom, the basis the top bit, a uniform 53 bits."""
+        assert protocol.Draws(list(self.WORDS)).codes(128) == (
+            [0] * 32 + [1] + [0] * 31 + [0] * 5 + [2] + [0] * 26 + [3] * 32
+        )
+        assert protocol.Draws([2**11]).codes(6) == [0, 0, 0, 0, 0, 2]
+        source = protocol.Draws(list(self.WORDS))
+        assert [source.basis() for _ in self.WORDS] == [0, 0, 0, 1]
+        assert protocol.Draws(list(self.WORDS)).uniforms(4) == [0.0, 0.0, 2**-53, 1 - 2**-53]
+
+    def test_each_method_takes_a_fixed_number_of_words(self):
+        source = protocol.Draws(list(range(200)))
+        source.codes(33)
+        assert source.used == 2
+        source.subset(10, 4)
+        assert source.used == 6
+        source.basis()
+        assert source.used == 7
+        source.uniforms(5)
+        assert source.used == 12
+        with pytest.raises(IndexError):
+            source.uniforms(189)
+
+    @pytest.mark.parametrize("alg", ALGEBRAS)
+    @pytest.mark.parametrize("attack", ATTACK_KINDS)
+    @pytest.mark.parametrize("check", CHECK_KINDS)
+    def test_words_per_run_is_what_a_run_takes(self, alg, attack, check):
+        """Both algebras take exactly `words_per_run(config)` words: no more, no fewer."""
+        grid = itertools.product((0, 3), (0.25, 1.0), ((2, 1), (4, 2), (16, 64)))
+        for seed, (d, fraction, (n, m)) in enumerate(grid):
+            config = ScenarioConfig(
+                n=n, m=m, d=d, attack=attack, check=check, check_fraction=fraction, seed=seed
+            )
+            words = protocol.words_per_run(config)
+            source = draws(np.random.default_rng(seed), words)
+            protocol._run(alg, config, source)
+            assert source.used == words
+            with pytest.raises(IndexError):
+                protocol._run(alg, config, draws(np.random.default_rng(seed), words - 1))
+
+
 TRANSCRIPT_DIGESTS = {  # (attack, check): sha256 of 180 runs, the same on both algebras
-    ("none", "original"): "883f6073164d97ebdaf9423e21f91327be2ca1ea7c8cbffe27a299e5ad4a9f77",
-    ("none", "improved"): "6d8038025379c79bcc7b3773805ed35a9ac1f89e336e31f95068b4fc62bdbae4",
-    ("collusion", "original"): "2c3fb9e956d29370a211b3300568a3bb806d943ea85b76d36d60e4937ebfb054",
-    ("collusion", "improved"): "70b52bc4cec6ee0aa4b0b813d0d54a5822f0bdfd8fbdd49fa740b8bc5cca816a",
+    ("none", "original"): "6fba107dc31f3b7638ebf5a556c65aa10aaaf18a3ff7f4e56d06efc04cda2afa",
+    ("none", "improved"): "8c59325d660b2f53b5d2b844ae9b245b3da2c4d3d8155f0d0806f07cf63809f7",
+    ("collusion", "original"): "ebdf98cb1bead2f5f41e6381569c3b17f3b4be7a1d36396c9817fb29675d2b7a",
+    ("collusion", "improved"): "f92d87e6a2942af1bc5ce2de1076abcc63be9cd995d7793fa2191624aed911a4",
     ("intercept_resend", "original"): (
-        "da0189445f945c141ab28190fff76a9fbccd9d0b1dc0a5f2c767f6a0ddd12c4b"
+        "55d3bc98dba919d676f79e2e07f83102bc17516e930f2e7183a78f683b26aaeb"
     ),
     ("intercept_resend", "improved"): (
-        "014b105d5b85ab87163ba4f996e7b8c84bcc35e69833b3e5e5789df1c26085cb"
+        "bb9ad03356ff7f4e8bdf1527242ae18597e9f29afe83bab911c1fb37efdec9e6"
     ),
 }
 
